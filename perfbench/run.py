@@ -1,13 +1,13 @@
 """Layered benchmark for privkg.
 
-    python3 perfbench/run.py --workload train-gqe --seed 0 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload train-gqe --seed 0 --seconds 30 --trace 0
 
 Runs one workload (train-gqe, eval-q2b or build-4k) from the root of a
 checkout against the package under ``src/``. Set-up is repeated and timed
-``SETUPS`` times; then whole rounds run until ``--seconds`` is used up. Every
-output is checked against an independent reference. The last line of
-standard output is the JSON result: end-to-end metrics with ``--trace 0``,
-per-layer metrics with ``--trace 1``. See perfbench/README.md.
+the workload's ``setups`` times; then whole rounds run until ``--seconds`` is
+used up. Every output is checked against an independent reference. The last
+line of standard output is the JSON result: end-to-end metrics with
+``--trace 0``, per-layer metrics with ``--trace 1``. See perfbench/README.md.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import time  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SETUPS = 3
 
 # per-layer shares: metric name -> span name (self time over traced wall)
 LAYER_SHARES = {
@@ -164,9 +163,9 @@ def run(args) -> dict:
 
     # set-up, repeated; with tracing the last repeat is traced
     setup_s, traced_wall = [], 0.0
-    for i in range(SETUPS):
+    for i in range(wl.setups):
         gc.collect()
-        on = bool(tracer) and i == SETUPS - 1
+        on = bool(tracer) and i == wl.setups - 1
         t0 = traced(on)
         wl.setup()
         dt = time.perf_counter() - t0
@@ -208,8 +207,7 @@ def run(args) -> dict:
         "setup_s": (statistics.median(setup_s), "s"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         "throughput_per_s": (wl.throughput(rounds), "1/s"),
-        "latency_ms_tail": (1e3 * float(np.percentile(
-            [x for r in rounds for x in r.latencies], wl.tail_percentile)), "ms"),
+        "latency_ms_tail": (1e3 * wl.tail_latency(rounds), "ms"),
     }
     named = wl.named_metrics(rounds)
     named["failed_frac"] = (failed / attempted, "ratio")
@@ -218,7 +216,7 @@ def run(args) -> dict:
         "git_sha": git_sha(), "nproc": os.cpu_count(),
         "python": platform.python_version(), "numpy": np.__version__,
         "threads_env": os.environ["OMP_NUM_THREADS"],
-        "setups": SETUPS, "setup_s_samples": setup_s, "rounds": len(rounds),
+        "setups": wl.setups, "setup_s_samples": setup_s, "rounds": len(rounds),
         "latency_samples": sum(len(r.latencies) for r in rounds),
         "tail_percentile": wl.tail_percentile,
         "attempted": attempted, "failed": failed,

@@ -1,6 +1,6 @@
 """Run the benchmark over several seeds and summarise each end-to-end metric.
 
-    python3 perfbench/sweep.py --seeds 1-10 --seconds 25 --out perfbench/baseline.json
+    python3 perfbench/sweep.py --seeds 1-10 --seconds 30 --out perfbench/baseline.json
 
 Runs are sequential, one process at a time. For each workload and metric it
 records the median, the quartiles and the spread (interquartile distance
@@ -34,7 +34,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
-    p.add_argument("--seconds", type=int, default=25)
+    p.add_argument("--seconds", type=int, default=30)
     p.add_argument("--out", help="write the summary here as JSON")
     args = p.parse_args(argv)
 
