@@ -26,7 +26,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 class Tensor:
     """Node on the tape: a float64 ndarray plus backward closure."""
 
-    __slots__ = ("data", "grad", "parents", "_backward", "requires_grad")
+    __slots__ = ("data", "grad", "parents", "_backward", "requires_grad", "__weakref__")
 
     def __init__(self, data, parents=(), backward=None, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -47,17 +47,17 @@ class Tensor:
     def backward(self) -> None:
         if self.data.shape != ():
             raise AutodiffError("backward requires a scalar loss, got shape %r" % (self.shape,))
-        topo, seen = [], set()
-
-        def visit(node):
-            if id(node) in seen:
-                return
-            seen.add(id(node))
-            for p in node.parents:
-                visit(p)
-            topo.append(node)
-
-        visit(self)
+        # iterative post-order, marking a node when it is expanded; unlike a
+        # recursive closure it leaves no cycle, so reference counts free the tape
+        topo, seen, todo = [], set(), [(self, False)]
+        while todo:
+            node, expanded = todo.pop()
+            if expanded:
+                topo.append(node)
+            elif id(node) not in seen:
+                seen.add(id(node))
+                todo.append((node, True))
+                todo.extend((p, False) for p in reversed(node.parents))
         self.grad = np.ones((), dtype=np.float64)
         for node in reversed(topo):
             if node._backward is None or not node.requires_grad:
@@ -151,24 +151,15 @@ def multiply(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Matrix product over the last two axes; leading axes broadcast."""
     a, b = _both(a, b)
+    if a.data.ndim < 2 or b.data.ndim < 2:
+        raise AutodiffError("matmul operands need at least 2 axes")
     out = Tensor(a.data @ b.data, (a, b))
-    a_vec = a.data.ndim == 1
-    b_vec = b.data.ndim == 1
 
     def back(g):
-        # promote vector operands to matrices, differentiate, squeeze back
-        ad_ = a.data[None, :] if a_vec else a.data
-        bd = b.data[:, None] if b_vec else b.data
-        gg = g
-        if a_vec:
-            gg = np.expand_dims(gg, -2)
-        if b_vec:
-            gg = np.expand_dims(gg, -1)
-        ga = _unbroadcast(gg @ np.swapaxes(bd, -1, -2), ad_.shape)
-        gb = _unbroadcast(np.swapaxes(ad_, -1, -2) @ gg, bd.shape)
-        a._accumulate(ga.reshape(a.shape))
-        b._accumulate(gb.reshape(b.shape))
+        a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     out._backward = back
     return out
@@ -307,11 +298,12 @@ def minimum(a, b) -> Tensor:
 
 
 def _unary(a, value, local_grad):
+    """``local_grad()`` runs in backward only, so forward-only scoring skips it."""
     a = tensor(a)
     out = Tensor(value, (a,))
 
     def back(g):
-        a._accumulate(g * local_grad)
+        a._accumulate(g * local_grad())
 
     out._backward = back
     return out
@@ -319,43 +311,41 @@ def _unary(a, value, local_grad):
 
 def relu(a) -> Tensor:
     a = tensor(a)
-    return _unary(a, np.maximum(a.data, 0.0), (a.data > 0).astype(np.float64))
+    return _unary(a, np.maximum(a.data, 0.0), lambda: (a.data > 0).astype(np.float64))
 
 
 def sigmoid(a) -> Tensor:
     a = tensor(a)
     s = 1.0 / (1.0 + np.exp(-a.data))
-    return _unary(a, s, s * (1.0 - s))
+    return _unary(a, s, lambda: s * (1.0 - s))
 
 
 def tanh(a) -> Tensor:
     a = tensor(a)
     t = np.tanh(a.data)
-    return _unary(a, t, 1.0 - t * t)
+    return _unary(a, t, lambda: 1.0 - t * t)
 
 
 def exp(a) -> Tensor:
     a = tensor(a)
     e = np.exp(a.data)
-    return _unary(a, e, e)
+    return _unary(a, e, lambda: e)
 
 
 def log(a) -> Tensor:
     a = tensor(a)
-    return _unary(a, np.log(a.data), 1.0 / a.data)
+    return _unary(a, np.log(a.data), lambda: 1.0 / a.data)
 
 
 def sqrt(a) -> Tensor:
     a = tensor(a)
     r = np.sqrt(a.data)
-    with np.errstate(divide="ignore"):
-        local = np.where(r > 0, 0.5 / np.where(r > 0, r, 1.0), 0.0)
-    return _unary(a, r, local)
+    return _unary(a, r, lambda: np.where(r > 0, 0.5 / np.where(r > 0, r, 1.0), 0.0))
 
 
 def absolute(a) -> Tensor:
     a = tensor(a)
-    return _unary(a, np.abs(a.data), np.sign(a.data))
+    return _unary(a, np.abs(a.data), lambda: np.sign(a.data))
 
 
 # -- norms, softmax, attention --------------------------------------------
@@ -389,11 +379,12 @@ def log_softmax(a, axis=-1) -> Tensor:
     a = tensor(a)
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = Tensor(shifted - lse, (a,))
+    y = shifted - lse
+    out = Tensor(y, (a,))
 
     def back(g):
-        soft = np.exp(out.data)
-        a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
+        # refers to y, not to out: a closure holding its own node is a cycle
+        a._accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
     out._backward = back
     return out
@@ -445,10 +436,6 @@ class ParameterStore:
     def state_dict(self) -> dict:
         return {name: p.data.copy() for name, p in self.params.items()}
 
-    def load_state_dict(self, state: dict) -> None:
-        for name, arr in state.items():
-            self.params[name].data = np.array(arr, dtype=np.float64)
-
     # -- checkpoint text format: header line, then name\tshape\tvalues ----
 
     def save(self, path, header_extra: str = "") -> None:
@@ -461,15 +448,33 @@ class ParameterStore:
                 f.write("%s\t%s\t%s\n" % (name, shape, values))
 
     def load(self, path) -> str:
+        """Replace all parameters from a file of exactly these names, shapes, finite values."""
+        loaded = {}
         with open(path, encoding="utf-8") as f:
             header = f.readline()
             if not header.startswith("# privkg-params v1"):
                 raise AutodiffError("unrecognized checkpoint header: %r" % header)
             for line in f:
-                name, shape, values = line.rstrip("\n").split("\t")
-                dims = () if shape == "scalar" else tuple(int(s) for s in shape.split("x"))
-                arr = np.array([float(v) for v in values.split(",")], dtype=np.float64)
-                self.params[name].data = arr.reshape(dims)
+                name, _, rest = line.rstrip("\n").partition("\t")
+                if name not in self.params or name in loaded:
+                    raise AutodiffError("unexpected or repeated parameter %r in checkpoint" % name)
+                shape, _, values = rest.partition("\t")
+                want = self.params[name].data.shape
+                if shape != ("x".join(str(s) for s in want) or "scalar"):
+                    raise AutodiffError("parameter %r has shape %s in checkpoint, expected %r"
+                                        % (name, shape, want))
+                try:
+                    arr = np.array([float(v) for v in values.split(",")]).reshape(want)
+                except ValueError:
+                    raise AutodiffError("malformed values of parameter %r" % name) from None
+                if not np.all(np.isfinite(arr)):
+                    raise AutodiffError("non-finite values in parameter %r" % name)
+                loaded[name] = arr
+        missing = sorted(set(self.params) - set(loaded))
+        if missing:
+            raise AutodiffError("checkpoint lacks parameter %r" % missing[0])
+        for name, arr in loaded.items():
+            self.params[name].data = arr
         return header[len("# privkg-params v1"):].strip()
 
 

@@ -19,7 +19,7 @@ from .benchmark import (read_benchmark, sample_private_edges, sample_queries,
                         split_edges, stats, format_stats, training_subset,
                         write_benchmark)
 from .encoders import load_encoder, make_encoder
-from .evaluation import EvalReport, evaluate_model, calibrate_noise_sigma
+from .evaluation import EvalReport, Metrics, evaluate_model
 from .graph import (load_schema, load_triple_set, load_triples, write_triples)
 from .queries import QUERY_TYPES, parse_query
 from .symbolic import evaluate_tagged
@@ -201,7 +201,6 @@ def _read_report_tsv(path) -> EvalReport:
             qtype, cls = fields[0], fields[1]
             if qtype == "All":
                 continue
-            from .evaluation import Metrics
             report.per_type[(qtype, cls)] = Metrics(
                 hr1=float(fields[2]), hr3=float(fields[3]), hr10=float(fields[4]),
                 mrr=float(fields[5]), count=int(fields[6]))

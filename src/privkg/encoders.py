@@ -1,23 +1,24 @@
 """Query encoders: a vector model (GQE-style), a box model (Q2B-style), and a
 particle-set model (Q2P-style).
 
-Every encoder maps a query tree to one embedding per DNF disjunct, scores all
-vertices against an embedding, and exposes softmax probabilities over a
-candidate set. Backward projections use a dedicated inverse-relation row, so
-each relation owns two embedding rows.
+Every primitive maps a batch of rows (one per union-free DNF disjunct) to a
+batch; disjuncts of one shape are encoded together by index-array gathers.
+``log_probabilities`` is the one path from queries to target log-probabilities.
+Backward projections use a dedicated inverse-relation row per relation.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .graph import KnowledgeGraph
-from .queries import Anchor, Intersection, Projection, QueryNode, Union, to_dnf
+from .queries import BACKWARD, Anchor, Intersection, Projection, QueryNode, to_dnf
 
 DEFAULT_DIM = 64
 DEFAULT_PARTICLES = 3
@@ -28,20 +29,17 @@ class EncoderError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class VectorEmbedding:
-    vec: Tensor
+class VectorEmbedding(NamedTuple):
+    vec: Tensor  # (B, d)
 
 
-@dataclass(frozen=True)
-class BoxEmbedding:
-    center: Tensor
-    offset: Tensor
+class BoxEmbedding(NamedTuple):
+    center: Tensor  # (B, d)
+    offset: Tensor  # (B, d)
 
 
-@dataclass(frozen=True)
-class ParticleEmbedding:
-    particles: Tensor  # (m, d); m grows at intersections (particle merge)
+class ParticleEmbedding(NamedTuple):
+    particles: Tensor  # (B, m, d); m grows at intersections (particle merge)
 
 
 def _uniform(rng, shape, limit):
@@ -51,6 +49,19 @@ def _uniform(rng, shape, limit):
 def _xavier(rng, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+
+
+def _shape(node):
+    """Hashable operator shape of a union-free query; equal shapes batch together."""
+    if isinstance(node, Anchor):
+        return "a"
+    if isinstance(node, Projection):
+        return ("p", _shape(node.child))
+    if isinstance(node, Intersection):
+        if len(node.children) < 2:
+            raise EncoderError("intersection arity must be >= 2")
+        return ("i",) + tuple(_shape(c) for c in node.children)
+    raise EncoderError("not a union-free query node: %r" % (node,))
 
 
 class Encoder:
@@ -66,80 +77,100 @@ class Encoder:
         rng = np.random.default_rng(seed)
         self._build(rng)
 
-    # -- subclass surface ---------------------------------------------------
+    # -- subclass surface: every primitive maps B rows to B rows ---------------
 
     def _build(self, rng):
         raise NotImplementedError
 
-    def anchor(self, v: int):
+    def anchor(self, ids):
         raise NotImplementedError
 
-    def project(self, emb, rel: int, direction: str):
+    def project(self, emb, rels, directions):
         raise NotImplementedError
 
     def intersect(self, embs: list):
         raise NotImplementedError
 
-    def scores_one(self, emb) -> Tensor:
-        """Scores of all vertices against a single disjunct embedding, shape (nv,)."""
+    def scores(self, emb) -> Tensor:
+        """Scores of all vertices against each row, shape (B, nv)."""
         raise NotImplementedError
 
     def perturb(self, emb, rng, sigma: float):
-        """Embedding with seeded isotropic Gaussian noise added (inference only)."""
-        raise NotImplementedError
+        """Embedding with seeded isotropic Gaussian noise added (inference only).
 
-    # -- shared machinery -----------------------------------------------------
+        Draws row by row, field by field: a batch gets its rows' one-at-a-time noise."""
+        draws = [[rng.normal(0.0, sigma, size=t.shape[1:]) for t in emb]
+                 for _ in range(emb[0].shape[0])]
+        return type(emb)(*(t + ad.Tensor(np.stack(noise))
+                           for t, noise in zip(emb, zip(*draws))))
 
-    def _rel_row(self, rel: int, direction: str) -> int:
-        return 2 * rel + (0 if direction == "forward" else 1)
+    # -- shared machinery -------------------------------------------------------
+
+    def _rel_row(self, rels, directions) -> np.ndarray:
+        return 2 * np.asarray(rels, dtype=np.intp) + (np.asarray(directions) == BACKWARD)
 
     def encode(self, q: QueryNode) -> list:
-        """One embedding per DNF disjunct."""
-        return [self._encode_node(d) for d in to_dnf(q).disjuncts]
+        """Embeddings of the DNF disjuncts, one per run of same-shaped ones.
 
-    def _encode_node(self, node):
-        if isinstance(node, Anchor):
-            return self.anchor(node.vertex)
-        if isinstance(node, Projection):
-            return self.project(self._encode_node(node.child), node.rel, node.direction)
-        if isinstance(node, Intersection):
-            if len(node.children) < 2:
-                raise EncoderError("intersection arity must be >= 2")
-            return self.intersect([self._encode_node(c) for c in node.children])
-        if isinstance(node, Union):
-            raise EncoderError("union must be removed by DNF before encoding")
-        raise EncoderError("not a query node: %r" % (node,))
+        Concatenated, their rows are the disjuncts in DNF order."""
+        return [self._encode_group(list(run))
+                for _, run in itertools.groupby(to_dnf(q).disjuncts, key=_shape)]
 
-    def scores_all(self, disjuncts: list) -> Tensor:
-        """Scores of all vertices; max over disjuncts."""
-        if not disjuncts:
-            raise EncoderError("empty disjunct list")
-        if len(disjuncts) == 1:
-            return self.scores_one(disjuncts[0])
-        return ad.reduce_max(ad.stack([self.scores_one(d) for d in disjuncts], axis=0), axis=0)
+    def _encode_group(self, nodes):
+        """Encode same-shaped union-free nodes; one primitive call per operator."""
+        first = nodes[0]
+        if isinstance(first, Anchor):
+            return self.anchor([n.vertex for n in nodes])
+        if isinstance(first, Projection):
+            return self.project(self._encode_group([n.child for n in nodes]),
+                                [n.rel for n in nodes], [n.direction for n in nodes])
+        return self.intersect([self._encode_group([n.children[k] for n in nodes])
+                               for k in range(len(first.children))])
 
-    def score(self, disjuncts: list, v: int) -> Tensor:
-        if not 0 <= v < self.graph.num_vertices():
-            raise EncoderError("unknown vertex id %d" % v)
-        return ad.rows(self.scores_all(disjuncts), v)
+    def scores_all(self, embs: list) -> Tensor:
+        """Scores of all vertices for one query; max over its disjunct rows."""
+        s = ad.concat([self.scores(e) for e in embs], axis=0)
+        return ad.reshape(s, s.shape[1:]) if s.shape[0] == 1 else ad.reduce_max(s, axis=0)
 
-    def log_probabilities(self, disjuncts: list, candidates=None) -> tuple[Tensor, np.ndarray]:
-        """Log-softmax over candidate scores; returns (log-probs, candidate ids)."""
-        scores = self.scores_all(disjuncts)
-        if candidates is None:
-            cand = np.arange(self.graph.num_vertices())
-            return ad.log_softmax(scores, axis=0), cand
-        cand = np.asarray(sorted(candidates), dtype=np.intp)
-        if cand.size == 0:
-            raise EncoderError("empty candidate set")
-        return ad.log_softmax(ad.rows(scores, cand), axis=0), cand
+    def log_probabilities(self, queries: list, targets: list, rng=None,
+                          candidate_sample: int = 0) -> Tensor:
+        """Log-probability of every (query, target) pair, in query then target order.
 
-    def probability(self, disjuncts: list, v: int, candidates=None) -> Tensor:
-        logp, cand = self.log_probabilities(disjuncts, candidates)
-        where = np.nonzero(cand == v)[0]
-        if where.size == 0:
-            raise EncoderError("vertex %d not in candidate set" % v)
-        return ad.exp(ad.rows(logp, int(where[0])))
+        The disjuncts of all queries are grouped by shape, and each group is
+        encoded and scored at once. A query scores a vertex by the max over
+        its disjuncts, and one log-softmax per query normalises over all
+        vertices, or, with ``candidate_sample`` > 0, over its targets plus
+        that many vertices from ``rng.sample`` (one draw per query, in order)."""
+        if not queries or len(queries) != len(targets):
+            raise EncoderError("need one target list per query and at least one query")
+        nv = self.graph.num_vertices()
+        targets = [np.asarray(t, dtype=np.intp) for t in targets]
+        picks = np.concatenate(targets)
+        if ((picks < 0) | (picks >= nv)).any():
+            raise EncoderError("target vertex id out of range")
+        dnfs = [to_dnf(q).disjuncts for q in queries]
+        flat = [d for ds in dnfs for d in ds]
+        groups: dict = {}
+        for i, d in enumerate(flat):
+            groups.setdefault(_shape(d), []).append(i)
+        parts = [self.scores(self._encode_group([flat[i] for i in idx])) for idx in groups.values()]
+        scores = ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
+        # row of `scores` for each query's j-th disjunct, padded by repeating its last:
+        # the max is unchanged and its gradient still goes to the first maximal one
+        counts = np.array([len(ds) for ds in dnfs])[:, None]
+        slots = np.cumsum(counts)[:, None] - counts + np.minimum(np.arange(counts.max()), counts - 1)
+        index = np.argsort(np.concatenate(list(groups.values())))[slots]
+        if not np.array_equal(index, np.arange(len(queries))[:, None]):
+            scores = ad.reduce_max(ad.rows(scores, index), axis=1)
+        if candidate_sample > 0:
+            mask = np.full((len(queries), nv), -np.inf)
+            for i, t in enumerate(targets):
+                mask[i, t] = 0.0
+                mask[i, rng.sample(range(nv), min(candidate_sample, nv))] = 0.0
+            scores = scores + ad.Tensor(mask)  # exp(-inf) = 0 outside the candidates
+        logp = ad.reshape(ad.log_softmax(scores, axis=1), (-1,))
+        owner = np.repeat(np.arange(len(queries)), [t.size for t in targets])
+        return ad.rows(logp, owner * nv + picks)
 
     def post_step(self) -> None:
         """Hook applied after each optimizer step (constraint re-projection)."""
@@ -183,25 +214,22 @@ class GQEEncoder(Encoder):
         self.ffn_b = self.store.add("int.ffn_b", np.zeros(d))
         self.post_w = self.store.add("int.post_w", _xavier(rng, d, d))
 
-    def anchor(self, v):
-        return VectorEmbedding(ad.rows(self.ent, v))
+    def anchor(self, ids):
+        return VectorEmbedding(ad.rows(self.ent, ids))
 
-    def project(self, emb, rel, direction):
-        return VectorEmbedding(emb.vec + ad.rows(self.rel, self._rel_row(rel, direction)))
+    def project(self, emb, rels, directions):
+        return VectorEmbedding(emb.vec + ad.rows(self.rel, self._rel_row(rels, directions)))
 
     def intersect(self, embs):
-        stacked = ad.stack([e.vec for e in embs], axis=0)
+        stacked = ad.stack([e.vec for e in embs], axis=1)  # (B, k, d)
         hidden = ad.relu(ad.matmul(stacked, self.ffn_w) + self.ffn_b)
-        pooled = ad.reduce_mean(hidden, axis=0)
+        pooled = ad.reduce_mean(hidden, axis=1)
         return VectorEmbedding(ad.matmul(pooled, self.post_w))
 
-    def scores_one(self, emb):
-        diff = ad.subtract(self.ent, emb.vec)
-        return -ad.sqrt(ad.reduce_sum(diff * diff, axis=1))
-
-    def perturb(self, emb, rng, sigma):
-        noise = ad.Tensor(rng.normal(0.0, sigma, size=self.dim))
-        return VectorEmbedding(emb.vec + noise)
+    def scores(self, emb):
+        # the difference form, not a matmul expansion: a perfect match scores 0
+        diff = ad.subtract(self.ent, ad.reshape(emb.vec, (-1, 1, self.dim)))
+        return -ad.sqrt(ad.reduce_sum(diff * diff, axis=2))
 
 
 # -- box model ----------------------------------------------------------------
@@ -226,42 +254,43 @@ class Q2BEncoder(Encoder):
         self.ds_w2 = self.store.add("int.ds_w2", _xavier(rng, d, d))
         self.ds_b2 = self.store.add("int.ds_b2", np.zeros(d))
 
-    def anchor(self, v):
-        return BoxEmbedding(ad.rows(self.ent, v), ad.Tensor(np.zeros(self.dim)))
+    def anchor(self, ids):
+        ent = ad.rows(self.ent, ids)
+        return BoxEmbedding(ent, ad.Tensor(np.zeros(ent.shape)))
 
-    def project(self, emb, rel, direction):
-        row = self._rel_row(rel, direction)
-        return BoxEmbedding(emb.center + ad.rows(self.rel_c, row),
-                            emb.offset + ad.rows(self.rel_o, row))
+    def project(self, emb, rels, directions):
+        rows = self._rel_row(rels, directions)
+        return BoxEmbedding(emb.center + ad.rows(self.rel_c, rows),
+                            emb.offset + ad.rows(self.rel_o, rows))
 
     def intersect(self, embs):
-        full = [ad.concat([e.center, e.offset], axis=0) for e in embs]
+        centers = ad.stack([e.center for e in embs], axis=1)  # (B, k, d)
+        offsets = ad.stack([e.offset for e in embs], axis=1)
+        full = ad.concat([centers, offsets], axis=2)
         # per-dimension attention over the input boxes
-        logits = ad.stack([ad.matmul(ad.relu(ad.matmul(f, self.att_w1) + self.att_b1),
-                                     self.att_w2) + self.att_b2 for f in full], axis=0)
-        weights = ad.softmax(logits, axis=0)
-        centers = ad.stack([e.center for e in embs], axis=0)
-        new_center = ad.reduce_sum(weights * centers, axis=0)
+        logits = ad.matmul(ad.relu(ad.matmul(full, self.att_w1) + self.att_b1),
+                           self.att_w2) + self.att_b2
+        weights = ad.softmax(logits, axis=1)
+        new_center = ad.reduce_sum(weights * centers, axis=1)
         # DeepSets({q_k}) = MLP(mean_k MLP(q_k)); sigmoid keeps the shrink in (0, 1)
-        inner = ad.reduce_mean(ad.stack(
-            [ad.relu(ad.matmul(f, self.ds_w1) + self.ds_b1) for f in full], axis=0), axis=0)
+        inner = ad.reduce_mean(ad.relu(ad.matmul(full, self.ds_w1) + self.ds_b1), axis=1)
         shrink = ad.sigmoid(ad.matmul(inner, self.ds_w2) + self.ds_b2)
-        min_offset = ad.reduce_min(ad.stack([e.offset for e in embs], axis=0), axis=0)
+        min_offset = ad.reduce_min(offsets, axis=1)
         return BoxEmbedding(new_center, min_offset * shrink)
 
-    def scores_one(self, emb):
-        q_max = emb.center + emb.offset
-        q_min = emb.center - emb.offset
+    def scores(self, emb):
+        center, offset = (ad.reshape(t, (-1, 1, self.dim)) for t in emb)
+        q_max = center + offset
+        q_min = center - offset
         outside = ad.reduce_sum(ad.relu(ad.subtract(self.ent, q_max)) +
-                                ad.relu(ad.subtract(q_min, self.ent)), axis=1)
+                                ad.relu(ad.subtract(q_min, self.ent)), axis=2)
         clipped = ad.minimum(q_max, ad.maximum(q_min, self.ent))
-        inside = ad.reduce_sum(ad.absolute(ad.subtract(emb.center, clipped)), axis=1)
+        inside = ad.reduce_sum(ad.absolute(ad.subtract(center, clipped)), axis=2)
         return -(outside + self.alpha * inside)
 
     def perturb(self, emb, rng, sigma):
-        center = emb.center + ad.Tensor(rng.normal(0.0, sigma, size=self.dim))
-        offset = ad.relu(emb.offset + ad.Tensor(rng.normal(0.0, sigma, size=self.dim)))
-        return BoxEmbedding(center, offset)
+        center, offset = super().perturb(emb, rng, sigma)
+        return BoxEmbedding(center, ad.relu(offset))
 
     def post_step(self):
         np.maximum(self.rel_o.data, 0.0, out=self.rel_o.data)
@@ -293,13 +322,13 @@ class Q2PEncoder(Encoder):
         self.store.add("int.mlp_w2", _xavier(rng, d, d))
         self.store.add("int.mlp_b2", np.zeros(d))
 
-    def anchor(self, v):
-        return ParticleEmbedding(self.part_init + ad.rows(self.ent, v))
+    def anchor(self, ids):
+        return ParticleEmbedding(self.part_init + ad.reshape(ad.rows(self.ent, ids), (-1, 1, self.dim)))
 
-    def project(self, emb, rel, direction):
+    def project(self, emb, rels, directions):
         s = self.store
-        p = emb.particles
-        e = ad.rows(self.rel, self._rel_row(rel, direction))
+        p = emb.particles  # (B, m, d)
+        e = ad.reshape(ad.rows(self.rel, self._rel_row(rels, directions)), (-1, 1, self.dim))
         update = ad.sigmoid(ad.matmul(e, s["proj.w_z"]) + ad.matmul(p, s["proj.u_z"]) + s["proj.b_z"])
         reset = ad.sigmoid(ad.matmul(e, s["proj.w_r"]) + ad.matmul(p, s["proj.u_r"]) + s["proj.b_r"])
         cand = ad.tanh(ad.matmul(e, s["proj.w_h"]) + ad.matmul(reset * p, s["proj.u_h"]) + s["proj.b_h"])
@@ -311,22 +340,19 @@ class Q2PEncoder(Encoder):
 
     def intersect(self, embs):
         s = self.store
-        merged = ad.concat([e.particles for e in embs], axis=0)
+        merged = ad.concat([e.particles for e in embs], axis=1)
         mixed = ad.attention(ad.matmul(merged, s["int.att_q"]),
                              ad.matmul(merged, s["int.att_k"]),
                              ad.matmul(merged, s["int.att_v"]))
         hidden = ad.relu(ad.matmul(mixed, s["int.mlp_w1"]) + s["int.mlp_b1"])
         return ParticleEmbedding(ad.matmul(hidden, s["int.mlp_w2"]) + s["int.mlp_b2"])
 
-    def scores_one(self, emb):
-        nv = self.graph.num_vertices()
-        diff = ad.subtract(ad.reshape(self.ent, (nv, 1, self.dim)), emb.particles)
-        dists = ad.sqrt(ad.reduce_sum(diff * diff, axis=2))  # (nv, m)
-        return -ad.reduce_min(dists, axis=1)  # max over particles of -dist
-
-    def perturb(self, emb, rng, sigma):
-        noise = ad.Tensor(rng.normal(0.0, sigma, size=emb.particles.shape))
-        return ParticleEmbedding(emb.particles + noise)
+    def scores(self, emb):
+        p = emb.particles
+        diff = ad.subtract(ad.reshape(self.ent, (-1, 1, self.dim)),
+                           ad.reshape(p, (p.shape[0], 1) + p.shape[1:]))
+        dists = ad.sqrt(ad.reduce_sum(diff * diff, axis=3))  # (B, nv, m)
+        return -ad.reduce_min(dists, axis=2)  # max over particles of -dist
 
 
 ENCODERS = {"gqe": GQEEncoder, "q2b": Q2BEncoder, "q2p": Q2PEncoder}

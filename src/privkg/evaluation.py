@@ -31,9 +31,10 @@ def rank(scores: np.ndarray, target: int, filter_out=frozenset()) -> int:
         raise EvalError("target %d not scored" % target)
     if target in filter_out:
         raise EvalError("target %d is filtered out" % target)
+    if not np.isfinite(scores).all():  # a NaN compares false both ways: it would rank 1
+        raise EvalError("non-finite scores")
     mask = np.ones(scores.size, dtype=bool)
-    for v in filter_out:
-        mask[v] = False
+    mask[np.fromiter(filter_out, dtype=np.intp, count=len(filter_out))] = False
     mask[target] = False
     pool = scores[mask]
     s = scores[target]

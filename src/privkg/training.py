@@ -15,8 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from .benchmark import BenchmarkQuery, training_subset
 from .encoders import Encoder
-from .graph import Triple
-from .queries import Anchor
+from .queries import BACKWARD, FORWARD, Anchor, Projection
 
 REVERSE_ONLY = "reverse-only"
 BOTH = "both"
@@ -68,14 +67,6 @@ class LossTrace:
                 f.write("%d,%.10g,%.10g,%.10g\n" % (epoch, lu, lp, total))
 
 
-def _candidates(model: Encoder, answers, rng, size):
-    if size <= 0:
-        return None
-    nv = model.graph.num_vertices()
-    negatives = rng.sample(range(nv), min(size, nv))
-    return sorted(set(answers) | set(negatives))
-
-
 def public_loss(model: Encoder, batch: list[tuple], rng=None, candidate_sample: int = 0) -> ad.Tensor:
     """Mean negative log-probability over (query, public answers) pairs.
 
@@ -84,29 +75,11 @@ def public_loss(model: Encoder, batch: list[tuple], rng=None, candidate_sample: 
     """
     if not batch:
         raise TrainError("empty batch")
-    terms = []
-    n_pairs = 0
-    for query, answers in batch:
-        answers = sorted(answers)
-        if not answers:
-            raise TrainError("query in a public batch has no answers")
-        cand = _candidates(model, answers, rng, candidate_sample) if candidate_sample else None
-        logp, cand_ids = model.log_probabilities(model.encode(query), cand)
-        if cand is None:
-            positions = np.asarray(answers, dtype=np.intp)
-        else:
-            lookup = {v: i for i, v in enumerate(cand_ids)}
-            positions = np.asarray([lookup[v] for v in answers], dtype=np.intp)
-        terms.append(ad.reduce_sum(ad.rows(logp, positions)))
-        n_pairs += len(answers)
-    return ad.multiply(-1.0 / n_pairs, _add_all(terms))
-
-
-def _add_all(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = total + t
-    return total
+    answers = [sorted(a) for _, a in batch]
+    if not all(answers):
+        raise TrainError("query in a public batch has no answers")
+    logp = model.log_probabilities([q for q, _ in batch], answers, rng, candidate_sample)
+    return ad.multiply(-1.0 / logp.shape[0], ad.reduce_sum(logp))
 
 
 def privacy_loss(model: Encoder, private_triples, direction: str = REVERSE_ONLY) -> ad.Tensor:
@@ -119,16 +92,15 @@ def privacy_loss(model: Encoder, private_triples, direction: str = REVERSE_ONLY)
     triples = sorted(private_triples)
     if not triples:
         return ad.Tensor(0.0)
-    terms = []
+    queries, targets = [], []
     for h, r, t in triples:
-        emb = model.project(model.anchor(t), r, "backward")
-        logp, _ = model.log_probabilities([emb])
-        terms.append(ad.rows(logp, h))
+        queries.append(Projection(r, BACKWARD, Anchor(t)))
+        targets.append([h])
         if direction == BOTH:
-            emb = model.project(model.anchor(h), r, "forward")
-            logp, _ = model.log_probabilities([emb])
-            terms.append(ad.rows(logp, t))
-    return ad.multiply(1.0 / len(terms), _add_all(terms))
+            queries.append(Projection(r, FORWARD, Anchor(h)))
+            targets.append([t])
+    logp = model.log_probabilities(queries, targets)
+    return ad.multiply(1.0 / logp.shape[0], ad.reduce_sum(logp))
 
 
 def total_loss(model: Encoder, batch, private_triples, beta: float,
@@ -185,13 +157,9 @@ def train(model: Encoder, queries: list[BenchmarkQuery], private_triples,
 
 
 def noisy_scores_all(model: Encoder, query, noise: NoiseConfig, rng=None) -> np.ndarray:
-    """All-vertex scores with one Gaussian draw added per query embedding."""
+    """All-vertex scores with one Gaussian draw added per disjunct embedding."""
     rng = rng if rng is not None else np.random.default_rng(noise.seed)
-    disjuncts = model.encode(query)
+    embs = model.encode(query)
     if noise.sigma > 0:
-        disjuncts = [model.perturb(d, rng, noise.sigma) for d in disjuncts]
-    return model.scores_all(disjuncts).data.copy()
-
-
-def noisy_score(model: Encoder, query, v: int, noise: NoiseConfig, rng=None) -> float:
-    return float(noisy_scores_all(model, query, noise, rng)[v])
+        embs = [model.perturb(e, rng, noise.sigma) for e in embs]
+    return model.scores_all(embs).data.copy()

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -211,3 +213,59 @@ def test_checkpoint_roundtrip(tmp_path):
     assert extra == "extra"
     for name in ("a", "b"):
         assert np.array_equal(store[name].data, other[name].data)
+
+
+def _two_param_store():
+    store = ad.ParameterStore()
+    store.add("a", rand(3, 4, seed=19))
+    store.add("b", rand(7, seed=20))
+    return store
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines[:2], "lacks parameter 'b'"),
+    (lambda lines: lines + ["c\t2\t1,2"], "unexpected or repeated parameter 'c'"),
+    (lambda lines: lines[:2] + ["b\t6\t1,2,3,4,5,6"], "parameter 'b' has shape 6"),
+    (lambda lines: lines[:2] + ["b\t7\t" + ",".join(["nan"] * 7)], "non-finite .* 'b'"),
+], ids=["truncated", "extra-name", "wrong-shape", "nan"])
+def test_checkpoint_load_is_strict(tmp_path, edit, message):
+    path = tmp_path / "params.ckpt"
+    _two_param_store().save(path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n")
+    target = ad.ParameterStore()
+    target.add("a", np.zeros((3, 4)))
+    target.add("b", np.zeros(7))
+    with pytest.raises(ad.AutodiffError, match=message):
+        target.load(path)
+    # nothing was half loaded
+    assert not target["a"].data.any() and not target["b"].data.any()
+
+
+def test_tape_freed_by_reference_counting():
+    x = ad.Tensor(rand(5, 3, seed=21), requires_grad=True)
+    gc.disable()
+    try:
+        hidden = ad.log_softmax(ad.multiply(x, x), axis=1)
+        probe = weakref.ref(hidden)
+        loss = ad.reduce_sum(ad.exp(hidden) + hidden)
+        del hidden
+        loss.backward()
+        assert probe() is not None
+        del loss
+        assert probe() is None
+    finally:
+        gc.enable()
+    assert x.grad is not None
+
+
+def test_node_on_two_paths_gets_both_gradients():
+    # a is a direct parent of the output and also reached through b; its own
+    # backward must wait for both, whichever path the walk meets first
+    x = ad.Tensor(np.array([0.3, -1.2]), requires_grad=True)
+    a = ad.multiply(x, 2.0)
+    b = ad.multiply(a, a)
+    loss = ad.reduce_sum(ad.add(ad.multiply(b, a), a))
+    loss.backward()
+    # loss = sum(2x + 8x^3): d/dx = 2 + 24x^2
+    assert np.max(np.abs(x.grad - (2 + 24 * x.data ** 2))) < 1e-12

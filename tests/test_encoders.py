@@ -25,8 +25,8 @@ def models(toy_graph):
 def test_gqe_zero_relation_is_identity(models):
     m = models["gqe"]
     m.rel.data[:] = 0.0
-    q = m.anchor(0)
-    out = m.project(q, 0, "forward")
+    q = m.anchor([0, 4])
+    out = m.project(q, [0, 1], ["forward", "backward"])
     assert np.array_equal(out.vec.data, q.vec.data)
 
 
@@ -34,47 +34,52 @@ def test_q2b_zero_relation_is_identity(models):
     m = models["q2b"]
     m.rel_c.data[:] = 0.0
     m.rel_o.data[:] = 0.0
-    q = m.project(m.anchor(1), 0, "forward")
-    out = m.project(q, 1, "backward")
+    q = m.project(m.anchor([1, 2]), [0, 2], ["forward", "forward"])
+    out = m.project(q, [1, 0], ["backward", "forward"])
     assert np.array_equal(out.center.data, q.center.data)
     assert np.array_equal(out.offset.data, q.offset.data)
 
 
 def test_q2p_projection_matches_scalar_loop(toy_graph):
     m = make_encoder("q2p", toy_graph, dim=2, seed=7, n_particles=1)
-    emb = m.anchor(2)
-    out = m.project(emb, 1, "forward").particles.data
+    emb = m.anchor([2, 0])
+    out = m.project(emb, [1, 0], ["forward", "backward"]).particles.data
     s = m.store
-    p = emb.particles.data[0]
-    e = m.rel.data[m._rel_row(1, "forward")]
     d = 2
 
-    def affine(w, u, b, vec):
+    def affine(w, u, b, vec, e):
         return [sum(e[i] * s[w].data[i, j] for i in range(d)) +
                 sum(vec[i] * s[u].data[i, j] for i in range(d)) + s[b].data[j]
                 for j in range(d)]
 
     sig = lambda v: 1 / (1 + math.exp(-v))
-    z = [sig(v) for v in affine("proj.w_z", "proj.u_z", "proj.b_z", p)]
-    r = [sig(v) for v in affine("proj.w_r", "proj.u_r", "proj.b_r", p)]
-    rp = [r[i] * p[i] for i in range(d)]
-    t = [math.tanh(v) for v in affine("proj.w_h", "proj.u_h", "proj.b_h", rp)]
-    a = [(1 - z[i]) * p[i] + z[i] * t[i] for i in range(d)]
-    # single particle: attention weight is 1, output is A @ W_v
-    want = [sum(a[i] * s["proj.att_v"].data[i, j] for i in range(d)) for j in range(d)]
-    assert np.max(np.abs(out[0] - want)) < 1e-12
+    for row, (rel, direction) in enumerate([(1, "forward"), (0, "backward")]):
+        p = emb.particles.data[row, 0]
+        e = m.rel.data[m._rel_row(rel, direction)]
+        z = [sig(v) for v in affine("proj.w_z", "proj.u_z", "proj.b_z", p, e)]
+        r = [sig(v) for v in affine("proj.w_r", "proj.u_r", "proj.b_r", p, e)]
+        rp = [r[i] * p[i] for i in range(d)]
+        t = [math.tanh(v) for v in affine("proj.w_h", "proj.u_h", "proj.b_h", rp, e)]
+        a = [(1 - z[i]) * p[i] + z[i] * t[i] for i in range(d)]
+        # single particle: attention weight is 1, output is A @ W_v
+        want = [sum(a[i] * s["proj.att_v"].data[i, j] for i in range(d)) for j in range(d)]
+        assert np.max(np.abs(out[row, 0] - want)) < 1e-12
 
 
 # -- intersection -----------------------------------------------------------------
 
 
+def _random_boxes(rng, n_rows, k, d):
+    return [BoxEmbedding(ad.Tensor(rng.normal(size=(n_rows, d))),
+                         ad.Tensor(np.abs(rng.normal(size=(n_rows, d)))))
+            for _ in range(k)]
+
+
 def test_q2b_intersection_shrinks_offsets(models):
     m = models["q2b"]
     rng = np.random.default_rng(0)
-    for _ in range(1000):
-        boxes = [BoxEmbedding(ad.Tensor(rng.normal(size=6)),
-                              ad.Tensor(np.abs(rng.normal(size=6))))
-                 for _ in range(rng.integers(2, 5))]
+    for _ in range(100):
+        boxes = _random_boxes(rng, 10, rng.integers(2, 5), 6)
         out = m.intersect(boxes)
         min_offset = np.min([b.offset.data for b in boxes], axis=0)
         assert (out.offset.data <= min_offset + 1e-15).all()
@@ -83,7 +88,7 @@ def test_q2b_intersection_shrinks_offsets(models):
 
 def test_gqe_intersection_of_identical_inputs(models):
     m = models["gqe"]
-    q = m.anchor(2)
+    q = m.anchor([2, 5])
     out = m.intersect([q, q, q]).vec.data
     single = ad.matmul(ad.relu(ad.matmul(q.vec, m.ffn_w) + m.ffn_b), m.post_w).data
     assert np.max(np.abs(out - single)) < 1e-12
@@ -92,10 +97,8 @@ def test_gqe_intersection_of_identical_inputs(models):
 def test_q2b_attention_weights_and_hull(toy_graph):
     m = make_encoder("q2b", toy_graph, dim=2, seed=9)
     rng = np.random.default_rng(4)
-    for _ in range(50):
-        boxes = [BoxEmbedding(ad.Tensor(rng.normal(size=2)),
-                              ad.Tensor(np.abs(rng.normal(size=2))))
-                 for _ in range(3)]
+    for _ in range(5):
+        boxes = _random_boxes(rng, 10, 3, 2)
         out = m.intersect(boxes)
         centers = np.array([b.center.data for b in boxes])
         # per-dimension convex combination: inside the per-dim interval hull
@@ -103,11 +106,24 @@ def test_q2b_attention_weights_and_hull(toy_graph):
         assert (out.center.data >= centers.min(axis=0) - 1e-12).all()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_batched_rows_match_single_rows(models, kind):
+    # a row of a batch sees only its own inputs
+    m = models[kind]
+    a, b = m.anchor([0, 3, 5]), m.anchor([1, 1, 2])
+    batch = m.intersect([m.project(a, [0, 1, 2], ["forward", "backward", "forward"]), b])
+    for row, (va, vb, rel, direction) in enumerate(
+            [(0, 1, 0, "forward"), (3, 1, 1, "backward"), (5, 2, 2, "forward")]):
+        one = m.intersect([m.project(m.anchor([va]), [rel], [direction]), m.anchor([vb])])
+        for got, want in zip(batch, one):
+            assert np.max(np.abs(got.data[row] - want.data[0])) < 1e-12
+
+
 def test_intersection_arity_error(models):
     from privkg.queries import Intersection, Anchor
     for m in models.values():
         with pytest.raises(EncoderError):
-            m._encode_node(Intersection((Anchor(0),)))
+            m.encode(Intersection((Anchor(0),)))
 
 
 # -- encoding -------------------------------------------------------------------
@@ -119,15 +135,15 @@ def test_encode_1p_is_projected_anchor(models, toy_graph):
     r = toy_graph.relation_id("LiveIn")
     m = models["gqe"]
     [emb] = m.encode(q)
-    want = m.project(m.anchor(h), r, "forward")
+    want = m.project(m.anchor([h]), [r], ["forward"])
     assert np.array_equal(emb.vec.data, want.vec.data)
 
 
 def test_encode_2u_gives_two_1p_disjuncts(models, toy_graph):
     q = parse_query("(u (p LiveIn (a Hinton)) (p LiveIn (a LeCun)))", toy_graph)
     for kind, m in models.items():
-        disjuncts = m.encode(q)
-        assert len(disjuncts) == 2
+        [emb] = m.encode(q)  # same shape: one batch of two rows
+        assert emb[0].shape[0] == 2
 
 
 def test_encoding_deterministic(toy_graph):
@@ -146,16 +162,16 @@ def test_encoding_deterministic(toy_graph):
 
 def test_gqe_perfect_match_scores_zero(models):
     m = models["gqe"]
-    emb = VectorEmbedding(ad.Tensor(m.ent.data[3].copy()))
-    scores = m.scores_one(emb).data
-    assert abs(scores[3]) < 1e-12
+    emb = VectorEmbedding(ad.Tensor(m.ent.data[[3, 1]].copy()))
+    scores = m.scores(emb).data
+    assert abs(scores[0, 3]) < 1e-12 and abs(scores[1, 1]) < 1e-12
     assert scores.max() <= 1e-12  # 0 is the maximum possible
 
 
 def test_q2b_center_point_has_zero_outside_distance(models):
     m = models["q2b"]
-    emb = BoxEmbedding(ad.Tensor(m.ent.data[2].copy()), ad.Tensor(np.abs(m.ent.data[4])))
-    scores = m.scores_one(emb).data
+    emb = BoxEmbedding(ad.Tensor(m.ent.data[[2]].copy()), ad.Tensor(np.abs(m.ent.data[[4]])))
+    scores = m.scores(emb).data[0]
     # dist_outside = 0 at the center, so only alpha * dist_inside remains
     center_inside = np.abs(m.ent.data[2] - m.ent.data[2]).sum()
     assert abs(scores[2] - (-m.alpha * center_inside)) < 1e-12
@@ -169,7 +185,7 @@ def test_gqe_ranking_matches_scalar_loop(models, toy_graph):
     scores = m.scores_all([emb]).data
     want = []
     for v in range(toy_graph.num_vertices()):
-        want.append(-math.sqrt(sum((emb.vec.data[i] - m.ent.data[v, i]) ** 2
+        want.append(-math.sqrt(sum((emb.vec.data[0, i] - m.ent.data[v, i]) ** 2
                                    for i in range(m.dim))))
     assert np.max(np.abs(scores - want)) < 1e-12
     assert list(np.argsort(-scores)) == list(np.argsort(-np.array(want)))
@@ -177,53 +193,87 @@ def test_gqe_ranking_matches_scalar_loop(models, toy_graph):
 
 def test_q2p_scores_are_max_over_particles(models):
     m = models["q2p"]
-    emb = m.anchor(1)
-    scores = m.scores_one(emb).data
-    for v in range(m.graph.num_vertices()):
-        dists = [np.linalg.norm(p - m.ent.data[v]) for p in emb.particles.data]
-        assert abs(scores[v] - max(-d for d in dists)) < 1e-12
+    emb = m.anchor([1, 4])
+    scores = m.scores(emb).data
+    for row in range(2):
+        for v in range(m.graph.num_vertices()):
+            dists = [np.linalg.norm(p - m.ent.data[v]) for p in emb.particles.data[row]]
+            assert abs(scores[row, v] - max(-d for d in dists)) < 1e-12
 
 
 def test_dnf_scores_are_max_over_disjuncts(models, toy_graph):
-    q = parse_query("(u (p LiveIn (a Hinton)) (p LiveIn (a LeCun)))", toy_graph)
+    # differently shaped branches: two embeddings, rows still in DNF order
+    q = parse_query("(u (p LiveIn (a Hinton)) (p LiveIn (i (a LeCun) (a Bengio))) "
+                    "(p BornIn (a Bengio)))", toy_graph)
     for m in models.values():
-        disjuncts = m.encode(q)
-        combined = m.scores_all(disjuncts).data
-        individual = np.stack([m.scores_one(d).data for d in disjuncts])
+        embs = m.encode(q)
+        assert len(embs) == 3
+        combined = m.scores_all(embs).data
+        individual = np.concatenate([m.scores(e).data for e in embs])
         assert np.array_equal(combined, individual.max(axis=0))
 
 
 # -- probabilities ------------------------------------------------------------------
 
 
+class _FixedSample:
+    """Stands in for random.Random: every candidate draw returns ``ids``."""
+
+    def __init__(self, ids):
+        self.ids = ids
+
+    def sample(self, population, k):
+        return self.ids
+
+
 def test_probability_single_candidate(models):
+    q = parse_query("(p LiveIn (a Hinton))", models["gqe"].graph)
     for m in models.values():
-        emb = m.encode(parse_query("(p LiveIn (a Hinton))", m.graph))
-        assert abs(m.probability(emb, 2, candidates=[2]).item() - 1.0) < 1e-15
+        # the only candidate is the target itself
+        logp = m.log_probabilities([q], [[2]], _FixedSample([2]), candidate_sample=1)
+        assert abs(np.exp(logp.data[0]) - 1.0) < 1e-15
 
 
 def test_probability_uniform_when_scores_equal(toy_graph):
     m = make_encoder("gqe", toy_graph, dim=4, seed=1)
     m.ent.data[:] = m.ent.data[0]  # identical entities -> identical scores
-    emb = m.encode(parse_query("(p LiveIn (a Hinton))", toy_graph))
+    q = parse_query("(p LiveIn (a Hinton))", toy_graph)
     n = toy_graph.num_vertices()
-    assert abs(m.probability(emb, 3).item() - 1.0 / n) < 1e-12
+    assert abs(np.exp(m.log_probabilities([q], [[3]]).data[0]) - 1.0 / n) < 1e-12
+    # over a sampled candidate set of 3, each candidate gets 1/3
+    logp = m.log_probabilities([q], [[3]], _FixedSample([0, 5]), candidate_sample=2)
+    assert abs(np.exp(logp.data[0]) - 1.0 / 3) < 1e-12
 
 
 def test_probabilities_sum_to_one(models, toy_graph):
     q = parse_query("(i (p WinAward (a Hinton)) (p WinAward (a LeCun)))", toy_graph)
+    u = parse_query("(u (p LiveIn (a Hinton)) (p BornIn (a LeCun)))", toy_graph)
+    everyone = list(range(toy_graph.num_vertices()))
     for m in models.values():
-        emb = m.encode(q)
-        logp, cand = m.log_probabilities(emb)
-        assert abs(np.exp(logp.data).sum() - 1.0) < 1e-12
+        logp = m.log_probabilities([q, u], [everyone, everyone]).data
+        assert abs(np.exp(logp[:len(everyone)]).sum() - 1.0) < 1e-12
+        assert abs(np.exp(logp[len(everyone):]).sum() - 1.0) < 1e-12
+
+
+def test_log_probabilities_match_scores_all(models, toy_graph):
+    # one batched pass equals each query's own max over disjuncts and softmax
+    texts = ["(u (p LiveIn (a Hinton)) (p LiveIn (i (a LeCun) (a Bengio))))",
+             "(p BornIn (a Bengio))",
+             "(u (i (p WinAward (a LeCun)) (a Bengio)) (p LiveIn (a LeCun)))"]
+    queries = [parse_query(t, toy_graph) for t in texts]
+    everyone = list(range(toy_graph.num_vertices()))
+    for m in models.values():
+        got = m.log_probabilities(queries, [everyone] * len(queries)).data
+        want = [ad.log_softmax(m.scores_all(m.encode(q)), axis=0).data for q in queries]
+        assert np.max(np.abs(got - np.concatenate(want))) < 1e-12
 
 
 def test_score_shift_invariance(models, toy_graph):
     # adding a constant to all scores leaves ranking and probabilities unchanged
     m = models["gqe"]
-    emb = m.encode(parse_query("(p LiveIn (a Hinton))", toy_graph))
-    scores = m.scores_all(emb).data
-    logp, _ = m.log_probabilities(emb)
+    q = parse_query("(p LiveIn (a Hinton))", toy_graph)
+    scores = m.scores_all(m.encode(q)).data
+    logp = m.log_probabilities([q], [list(range(toy_graph.num_vertices()))])
     shifted = ad.log_softmax(ad.Tensor(scores + 42.0), axis=0)
     assert np.max(np.abs(np.exp(logp.data) - np.exp(shifted.data))) < 1e-12
     assert list(np.argsort(-scores)) == list(np.argsort(-(scores + 42.0)))
@@ -231,11 +281,27 @@ def test_score_shift_invariance(models, toy_graph):
 
 def test_probability_errors(models):
     m = models["gqe"]
-    emb = m.encode(parse_query("(p LiveIn (a Hinton))", m.graph))
+    q = parse_query("(p LiveIn (a Hinton))", m.graph)
     with pytest.raises(EncoderError):
-        m.log_probabilities(emb, candidates=[])
+        m.log_probabilities([], [])
     with pytest.raises(EncoderError):
-        m.probability(emb, 0, candidates=[1, 2])
+        m.log_probabilities([q], [[1], [2]])
+    for bad in (-1, m.graph.num_vertices()):
+        with pytest.raises(EncoderError):
+            m.log_probabilities([q], [[bad]])
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_batched_perturb_matches_single_rows(models, kind):
+    m = models[kind]
+    many = m.project(m.anchor([0, 2, 4]), [1, 0, 1], ["backward", "forward", "forward"])
+    got = m.perturb(many, np.random.default_rng(5), 0.3)
+    rng = np.random.default_rng(5)
+    for row in range(3):
+        one = type(many)(*(ad.Tensor(t.data[row:row + 1]) for t in many))
+        want = m.perturb(one, rng, 0.3)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.data[row], w.data[0])
 
 
 # -- gradients, finiteness, checkpointing -------------------------------------------
@@ -273,8 +339,7 @@ def test_end_to_end_gradcheck(toy_graph, kind):
     target = toy_graph.vertex_id("Toronto")
 
     def make_loss():
-        logp, _ = m.log_probabilities(m.encode(q))
-        return -ad.rows(logp, target)
+        return -ad.reduce_sum(m.log_probabilities([q], [[target]]))
 
     sampled_gradcheck(m, make_loss, seed=13)
 
@@ -289,7 +354,7 @@ def test_outputs_finite_and_q2b_offsets_nonnegative(toy_graph):
             for emb in m.encode(q):
                 if isinstance(emb, BoxEmbedding):
                     assert (emb.offset.data >= 0).all()
-                scores = m.scores_one(emb).data
+                scores = m.scores(emb).data
                 assert np.isfinite(scores).all()
 
 

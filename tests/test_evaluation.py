@@ -39,6 +39,17 @@ def test_rank_errors():
         rank(np.zeros(3), 1, frozenset({1}))
 
 
+def test_rank_rejects_non_finite_scores():
+    with pytest.raises(EvalError, match="non-finite"):
+        rank(np.array([0.1, np.nan, 0.3]), 1)  # a NaN target
+    with pytest.raises(EvalError, match="non-finite"):
+        rank(np.array([0.1, np.nan, 0.3]), 2)  # a NaN in the pool
+    with pytest.raises(EvalError, match="non-finite"):
+        rank(np.full(3, np.nan), 0)
+    with pytest.raises(EvalError, match="non-finite"):
+        rank(np.array([0.1, np.inf, 0.3]), 0, frozenset({2}))
+
+
 def test_rank_matches_sort_oracle():
     rng = np.random.default_rng(7)
     pyrng = random.Random(7)
@@ -148,6 +159,13 @@ def test_evaluate_model_matches_manual_ranking(eval_setup):
     assert report.ranks == want
     for key, rs in want.items():
         assert report.per_type[key] == metrics(rs)
+
+
+def test_evaluate_model_rejects_nan_model(eval_setup):
+    m, queries = eval_setup
+    m.ent.data[3] = np.nan
+    with pytest.raises(EvalError, match="non-finite"):
+        evaluate_model(m, queries)
 
 
 def test_evaluate_model_skips_queries_without_targets(toy_graph):

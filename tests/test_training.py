@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -9,7 +10,8 @@ from privkg.benchmark import (BenchmarkQuery, sample_private_edges,
                               sample_queries, split_edges)
 from privkg.encoders import make_encoder
 from privkg.evaluation import evaluate_model
-from privkg.queries import classify_type, parse_query
+from privkg.queries import (BACKWARD, FORWARD, QUERY_TYPES, Anchor, Intersection,
+                            Projection, Union, classify_type, parse_query)
 from privkg.symbolic import TaggedAnswerSet
 from privkg.training import (BOTH, REVERSE_ONLY, NoiseConfig, TrainConfig,
                              TrainError, noisy_scores_all, privacy_loss,
@@ -40,7 +42,7 @@ def test_public_loss_zero_when_probability_one(toy_graph):
     # pinning the target onto it makes its probability numerically 1
     m.rel.data[m._rel_row(toy_graph.relation_id("LiveIn"), "forward")] = 1e6
     [emb] = m.encode(q)
-    m.ent.data[v] = emb.vec.data
+    m.ent.data[v] = emb.vec.data[0]
     loss = public_loss(m, [(q, [v])])
     assert loss.item() < 1e-12
 
@@ -103,9 +105,7 @@ def test_privacy_loss_both_direction_adds_forward_term(toy_graph):
     (triple,) = toy_graph.private
     h, r, t = triple
     rev = privacy_loss(m, [triple], REVERSE_ONLY).item()
-    emb = m.project(m.anchor(h), r, "forward")
-    logp, _ = m.log_probabilities([emb])
-    fwd = float(logp.data[t])
+    fwd = m.log_probabilities([Projection(r, FORWARD, Anchor(h))], [[t]]).data[0]
     both = privacy_loss(m, [triple], BOTH).item()
     assert abs(both - (rev + fwd) / 2) < 1e-12
 
@@ -117,9 +117,7 @@ def test_privacy_gradient_opposes_leak(toy_graph):
     h, r, t = triple
 
     def leak_prob():
-        emb = m.project(m.anchor(t), r, "backward")
-        logp, _ = m.log_probabilities([emb])
-        return float(np.exp(logp.data[h]))
+        return math.exp(m.log_probabilities([Projection(r, BACKWARD, Anchor(t))], [[h]]).data[0])
 
     before = leak_prob()
     opt = ad.make_optimizer(m.store, "sgd", 0.05)
@@ -149,6 +147,52 @@ def test_total_loss_linear_in_beta(toy_graph, beta):
     priv = sorted(toy_graph.private)
     total, lu, lp = total_loss(m, batch, priv, beta=beta)
     assert abs(total.item() - (lu.item() + beta * lp.item())) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def mixed_batch():
+    """All eight templates plus a union of two differently shaped branches."""
+    from .conftest import random_graph
+    g = random_graph(10, n_vertices=40, n_relations=4, n_attributes=2, n_triples=170)
+    private = sample_private_edges(g, 6, 3)
+    split = split_edges(g, private, 3)
+    batch = []
+    for qtype in QUERY_TYPES:
+        batch += [(bq.query, bq.train_answers) for bq in sample_queries(split, qtype, 4, 5)
+                  if bq.train_answers][:2]
+    mixed = Union((Projection(0, FORWARD, Anchor(1)),
+                   Intersection((Projection(1, FORWARD, Anchor(2)),
+                                 Projection(2, BACKWARD, Projection(0, FORWARD, Anchor(3)))))))
+    batch.append((mixed, frozenset({0, 5})))
+    assert {classify_type(q) for q, _ in batch} == set(QUERY_TYPES) | {"other"}
+    return split.test, batch, sorted(private)
+
+
+@pytest.mark.parametrize("kind", ["gqe", "q2b", "q2p"])
+@pytest.mark.parametrize("candidate_sample", [0, 5])
+def test_total_loss_matches_query_by_query(mixed_batch, kind, candidate_sample):
+    # the batched path against the same losses composed one query at a time
+    g, batch, private = mixed_batch
+    m = make_encoder(kind, g, dim=5, seed=2, n_particles=2)
+
+    def grads(loss):
+        m.store.zero_grad()
+        loss.backward()
+        return {n: p.grad.copy() for n, p in m.store.params.items() if p.grad is not None}
+
+    total, _, _ = total_loss(m, batch, private, 0.5, BOTH, random.Random(1), candidate_sample)
+    got = grads(total)
+    rng = random.Random(1)
+    n_pairs = sum(len(a) for _, a in batch)
+    parts = [ad.multiply(len(a) / n_pairs, public_loss(m, [(q, a)], rng, candidate_sample))
+             for q, a in batch]
+    parts += [ad.multiply(0.5 / len(private), privacy_loss(m, [t], BOTH)) for t in private]
+    composed = functools.reduce(ad.add, parts)
+    assert abs(total.item() - composed.item()) <= 1e-12 * abs(composed.item())
+    want = grads(composed)
+    assert got.keys() == want.keys()
+    for name in want:
+        assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
 
 
 def test_config_validation():
@@ -217,12 +261,10 @@ def test_beta_suppresses_private_probability(trained_pair):
     m5, _ = runs[0.5]
 
     def mean_leak(m):
-        probs = []
-        for h, r, t in sorted(private):
-            emb = m.project(m.anchor(t), r, "backward")
-            logp, _ = m.log_probabilities([emb])
-            probs.append(float(np.exp(logp.data[h])))
-        return np.mean(probs)
+        triples = sorted(private)
+        logp = m.log_probabilities([Projection(r, BACKWARD, Anchor(t)) for h, r, t in triples],
+                                   [[h] for h, r, t in triples])
+        return np.mean(np.exp(logp.data))
 
     assert mean_leak(m5) < mean_leak(m0)
 
