@@ -111,8 +111,8 @@ def _sample_branches(g, v, count, rng):
     return tuple(Projection(rel, direction, Anchor(u)) for direction, rel, u in picked)
 
 
-def _sample_template(g, qtype, rng):
-    vertices = sorted({v for t in g.triples for v in (t.head, t.tail)})
+def _sample_template(g, qtype, rng, vertices):
+    """One attempt; ``vertices`` is ``g.incident_vertices()``."""
     if not vertices:
         return None
     v = rng.choice(vertices)
@@ -168,8 +168,9 @@ def sample_queries(split: GraphSplit, qtype: str, n: int, seed: int,
     out: list[BenchmarkQuery] = []
     seen: set[QueryNode] = set()
     failures = 0
+    vertices = split.test.incident_vertices()
     while len(out) < n:
-        q = _sample_template(split.test, qtype, rng)
+        q = _sample_template(split.test, qtype, rng, vertices)
         if q is None or q in seen or classify_type(q) != qtype:
             failures += 1
             if failures > RETRY_BUDGET:

@@ -88,8 +88,7 @@ def cmd_privatize(args):
 
 def cmd_split(args):
     g = _load_graph(args)
-    private = load_triple_set(args.private, g)
-    split = split_edges(g, private, args.seed)
+    split = split_edges(g, g.private, args.seed)
     out = _ensure_out(args)
     paths = []
     for name, kg in (("train", split.train), ("valid", split.valid), ("test", split.test)):
@@ -102,8 +101,7 @@ def cmd_split(args):
 
 def cmd_sample_queries(args):
     g = _load_graph(args)
-    private = load_triple_set(args.private, g)
-    split = split_edges(g, private, args.seed)
+    split = split_edges(g, g.private, args.seed)
     qtypes = QUERY_TYPES if args.qtype == "all" else (args.qtype,)
     out = _ensure_out(args)
     paths = []
@@ -135,15 +133,14 @@ def _read_benchmark_dir(path, g):
 
 def cmd_train(args):
     g = _load_graph(args)
-    private = load_triple_set(args.private, g)
-    split = split_edges(g, private, args.seed)
+    split = split_edges(g, g.private, args.seed)
     queries = _read_benchmark_dir(args.benchmark, g)
     model = make_encoder(args.model, split.test, dim=args.dim, seed=args.seed,
                          n_particles=args.particles)
     config = TrainConfig(beta=args.beta, lr=args.lr, epochs=args.epochs,
                          batch_size=args.batch_size, seed=args.seed,
                          privacy_direction=args.privacy_direction)
-    trace = train(model, queries, private, config,
+    trace = train(model, queries, g.private, config,
                   progress=lambda e, lu, lp, l: print(
                       "epoch %d  L_u=%.4f  L_p=%.4f  L=%.4f" % (e, lu, lp, l), file=sys.stderr))
     out = _ensure_out(args)
@@ -160,8 +157,7 @@ def cmd_eval(args):
     if args.protection == "noise" and args.sigma is None:
         raise SystemExit("--sigma is required with --protection noise")
     g = _load_graph(args)
-    private = load_triple_set(args.private, g)
-    split = split_edges(g, private, args.seed)
+    split = split_edges(g, g.private, args.seed)
     queries = _read_benchmark_dir(args.benchmark, g)
     model = load_encoder(args.checkpoint, split.test)
     noise = None

@@ -9,6 +9,7 @@ Backward projections use a dedicated inverse-relation row per relation.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from typing import NamedTuple
@@ -180,10 +181,18 @@ class Encoder:
     def manifest(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "n_particles": self.n_particles,
                 "alpha": self.alpha, "n_vertices": self.graph.num_vertices(),
-                "n_relations": len(self.graph.relations)}
+                "n_relations": len(self.graph.relations), **_vocabulary_digests(self.graph)}
 
     def save(self, path) -> None:
         self.store.save(path, header_extra=json.dumps(self.manifest(), sort_keys=True))
+
+
+def _vocabulary_digests(graph: KnowledgeGraph) -> dict:
+    """sha256 of the vertex names and of the relation (name, kind) pairs, in id order."""
+    def digest(items):
+        return hashlib.sha256(json.dumps(items).encode("utf-8")).hexdigest()
+    return {"vertex_digest": digest(list(graph.vertex_names)),
+            "relation_digest": digest([[r.name, r.kind] for r in graph.relations])}
 
 
 def load_encoder(path, graph: KnowledgeGraph) -> "Encoder":
@@ -193,6 +202,10 @@ def load_encoder(path, graph: KnowledgeGraph) -> "Encoder":
     if manifest["n_vertices"] != graph.num_vertices() or \
             manifest["n_relations"] != len(graph.relations):
         raise EncoderError("checkpoint vocabulary does not match the graph")
+    for key, want in _vocabulary_digests(graph).items():
+        if manifest.get(key) != want:
+            raise EncoderError("checkpoint vocabulary does not match the graph: %s differs"
+                               % key)
     model = make_encoder(manifest["kind"], graph, dim=manifest["dim"],
                          n_particles=manifest["n_particles"], alpha=manifest["alpha"])
     model.store.load(path)

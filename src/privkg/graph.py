@@ -3,12 +3,20 @@ and a per-triple private flag on attribute edges.
 
 Graphs are immutable after construction; ``mark_private`` and ``public_view``
 return new views sharing the vertex and relation tables.
+
+Each graph keeps its triples once as an ``(E, 3)`` int64 array. Neighbour
+lookups go through CSR indices (``indptr``/``targets`` over the key
+``src * R + rel``), built lazily per direction and view; each lookup's
+frozenset is memoised on the graph.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
+
+import numpy as np
 
 REL = "rel"
 ATTR = "attr"
@@ -31,8 +39,15 @@ class Triple(NamedTuple):
     tail: int
 
 
+def _edge_array(triples) -> np.ndarray:
+    return np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64,
+                       count=3 * len(triples)).reshape(-1, 3)
+
+
 class KnowledgeGraph:
-    def __init__(self, vertex_names, relations, triples, private=frozenset()):
+    def __init__(self, vertex_names, relations, triples, private=frozenset(), *, _edges=None):
+        """``_edges`` is the edge array of a graph with the same triples and
+        tables, already checked; views pass it to skip rebuilding."""
         self.vertex_names: tuple[str, ...] = tuple(vertex_names)
         self.relations: tuple[Relation, ...] = tuple(relations)
         self.triples: frozenset[Triple] = frozenset(triples)
@@ -43,23 +58,26 @@ class KnowledgeGraph:
             raise GraphError("duplicate vertex name")
         if len(self._rid) != len(self.relations):
             raise GraphError("duplicate relation name")
-        for t in self.triples:
-            if not (0 <= t.head < len(self.vertex_names) and 0 <= t.tail < len(self.vertex_names)):
-                raise GraphError("triple endpoint outside vertex table: %r" % (t,))
+        if _edges is None:
+            _edges = _edge_array(self.triples)
+            ends = _edges[:, ::2]
+            bad = ((ends < 0) | (ends >= len(self.vertex_names))).any(axis=1)
+            if bad.any():
+                raise GraphError("triple endpoint outside vertex table: %r"
+                                 % (Triple(*_edges[bad.argmax()].tolist()),))
+            # the index keys ``src * R + rel`` collide for a relation id outside [0, R)
+            bad = (_edges[:, 1] < 0) | (_edges[:, 1] >= len(self.relations))
+            if bad.any():
+                raise GraphError("triple relation outside relation table: %r"
+                                 % (Triple(*_edges[bad.argmax()].tolist()),))
+        self._edges = _edges  # one row (head, rel, tail) per triple
+        if not self.private <= self.triples:
+            raise GraphError("private triple not in graph: %r" % (min(self.private - self.triples),))
         for t in self.private:
-            if t not in self.triples:
-                raise GraphError("private triple not in graph: %r" % (t,))
             if self.relations[t.rel].kind != ATTR:
                 raise GraphError("private flag on non-attribute triple: %r" % (t,))
-        self._fwd: dict[tuple[int, int], frozenset[int]] = {}
-        self._bwd: dict[tuple[int, int], frozenset[int]] = {}
-        fwd: dict[tuple[int, int], set[int]] = {}
-        bwd: dict[tuple[int, int], set[int]] = {}
-        for h, r, t in self.triples:
-            fwd.setdefault((h, r), set()).add(t)
-            bwd.setdefault((t, r), set()).add(h)
-        self._fwd = {k: frozenset(v) for k, v in fwd.items()}
-        self._bwd = {k: frozenset(v) for k, v in bwd.items()}
+        self._csr: dict[tuple[str, bool], tuple[np.ndarray, np.ndarray]] = {}
+        self._lookups: dict[tuple, frozenset[int]] = {}
 
     # -- lookups -----------------------------------------------------------
 
@@ -89,21 +107,47 @@ class KnowledgeGraph:
 
         ``view="public"`` excludes private triples.
         """
+        public = view == "public" and bool(self.private)
+        key = (v, r, direction, public)
+        result = self._lookups.get(key)
+        if result is not None:
+            return result
         if not 0 <= v < len(self.vertex_names):
             raise GraphError("unknown vertex id %d" % v)
         if not 0 <= r < len(self.relations):
             raise GraphError("unknown relation id %d" % r)
-        if direction == "forward":
-            result = self._fwd.get((v, r), frozenset())
-            if view == "public" and self.private:
-                result = frozenset(t for t in result if Triple(v, r, t) not in self.private)
-        elif direction == "backward":
-            result = self._bwd.get((v, r), frozenset())
-            if view == "public" and self.private:
-                result = frozenset(h for h in result if Triple(h, r, v) not in self.private)
-        else:
+        if direction not in ("forward", "backward"):
             raise GraphError("direction must be forward or backward, got %r" % direction)
+        indptr, targets = self._index(direction, public)
+        k = v * len(self.relations) + r
+        result = self._lookups[key] = frozenset(targets[indptr[k]:indptr[k + 1]].tolist())
         return result
+
+    def _public_mask(self) -> np.ndarray:
+        """Rows of the edge array that are not private."""
+        def encode(edges):
+            return (edges[:, 0] * len(self.relations) + edges[:, 1]) * len(self.vertex_names) \
+                + edges[:, 2]
+        return ~np.isin(encode(self._edges), encode(_edge_array(self.private)))
+
+    def _index(self, direction: str, public: bool) -> tuple[np.ndarray, np.ndarray]:
+        """CSR over key ``src * R + rel``: the targets of key k are
+        ``targets[indptr[k]:indptr[k + 1]]``."""
+        csr = self._csr.get((direction, public))
+        if csr is None:
+            edges = self._edges[self._public_mask()] if public else self._edges
+            src, dst = (edges[:, 0], edges[:, 2]) if direction == "forward" \
+                else (edges[:, 2], edges[:, 0])
+            n_keys = len(self.vertex_names) * len(self.relations)
+            keys = src * len(self.relations) + edges[:, 1]
+            indptr = np.zeros(n_keys + 1, dtype=np.int64)
+            np.cumsum(np.bincount(keys, minlength=n_keys), out=indptr[1:])
+            csr = self._csr[direction, public] = (indptr, dst[np.argsort(keys, kind="stable")])
+        return csr
+
+    def incident_vertices(self) -> list[int]:
+        """Sorted ids of the vertices that have at least one triple."""
+        return np.unique(self._edges[:, ::2]).tolist()
 
     def attribute_triples(self) -> frozenset[Triple]:
         return frozenset(t for t in self.triples if self.relations[t.rel].kind == ATTR)
@@ -112,16 +156,18 @@ class KnowledgeGraph:
 
     def mark_private(self, triples: Iterable[Triple]) -> "KnowledgeGraph":
         marked = frozenset(triples)
+        if not marked <= self.triples:
+            raise GraphError("cannot mark absent triple private: %r" % (min(marked - self.triples),))
         for t in marked:
-            if t not in self.triples:
-                raise GraphError("cannot mark absent triple private: %r" % (t,))
             if self.relations[t.rel].kind != ATTR:
                 raise GraphError("privacy applies only to attribute triples: %r" % (t,))
-        return KnowledgeGraph(self.vertex_names, self.relations, self.triples, marked)
+        return KnowledgeGraph(self.vertex_names, self.relations, self.triples, marked,
+                              _edges=self._edges)
 
     def public_view(self) -> "KnowledgeGraph":
         """Drop private triples; vertex table unchanged (vertices may isolate)."""
-        return KnowledgeGraph(self.vertex_names, self.relations, self.triples - self.private)
+        return KnowledgeGraph(self.vertex_names, self.relations, self.triples - self.private,
+                              _edges=self._edges[self._public_mask()])
 
     def with_triples(self, triples: Iterable[Triple], private=frozenset()) -> "KnowledgeGraph":
         """New graph over the same vertex/relation tables with another edge set."""
@@ -171,26 +217,17 @@ def from_named_triples(named_triples, schema: dict[str, str]) -> KnowledgeGraph:
     """Build a graph from (head, relation, tail) name triples.
 
     Ids are assigned in first-appearance order, so loading is deterministic."""
-    vnames: list[str] = []
     vid: dict[str, int] = {}
-    relations: list[Relation] = []
     rid: dict[str, int] = {}
-
-    def intern_vertex(name):
-        if name not in vid:
-            vid[name] = len(vnames)
-            vnames.append(name)
-        return vid[name]
-
     triples = set()
     for h, r, t in named_triples:
-        if r not in schema:
-            raise GraphError("relation %r missing from schema" % r)
         if r not in rid:
-            rid[r] = len(relations)
-            relations.append(Relation(len(relations), r, schema[r]))
-        triples.add(Triple(intern_vertex(h), rid[r], intern_vertex(t)))
-    return KnowledgeGraph(vnames, relations, triples)
+            if r not in schema:
+                raise GraphError("relation %r missing from schema" % r)
+            rid[r] = len(rid)
+        triples.add(Triple(vid.setdefault(h, len(vid)), rid[r], vid.setdefault(t, len(vid))))
+    relations = [Relation(i, name, schema[name]) for name, i in rid.items()]
+    return KnowledgeGraph(list(vid), relations, triples)
 
 
 def load_triples(path, schema: dict[str, str]) -> KnowledgeGraph:

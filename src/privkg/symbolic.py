@@ -43,26 +43,30 @@ def _image(g: KnowledgeGraph, members, rel, direction, view) -> frozenset[int]:
 
 def evaluate(g: KnowledgeGraph, q: QueryNode, view: str = "full") -> frozenset[int]:
     """Answer set of ``q`` on ``g``; ``view="public"`` ignores private triples."""
-    memo: dict[QueryNode, frozenset[int]] = {}
+    return _evaluate(g, q, view, {})
 
-    def rec(node):
-        if node in memo:
-            return memo[node]
-        if isinstance(node, Anchor):
-            result = frozenset((node.vertex,))
-        elif isinstance(node, Projection):
-            result = _image(g, rec(node.child), node.rel, node.direction, view)
-        elif isinstance(node, Intersection):
-            sets = [rec(c) for c in node.children]
-            result = frozenset.intersection(*sets)
-        elif isinstance(node, Union):
-            result = frozenset().union(*[rec(c) for c in node.children])
-        else:
-            raise EvalError("not a query node: %r" % (node,))
-        memo[node] = result
-        return result
 
-    return rec(q)
+# The recursions are module-level functions that take the memo as an argument:
+# a nested function that calls itself is a reference cycle, and every call
+# would leave its memo and closure for the cyclic garbage collector.
+
+
+def _evaluate(g, node, view, memo):
+    if node in memo:
+        return memo[node]
+    if isinstance(node, Anchor):
+        result = frozenset((node.vertex,))
+    elif isinstance(node, Projection):
+        result = _image(g, _evaluate(g, node.child, view, memo), node.rel, node.direction, view)
+    elif isinstance(node, Intersection):
+        sets = [_evaluate(g, c, view, memo) for c in node.children]
+        result = frozenset.intersection(*sets)
+    elif isinstance(node, Union):
+        result = frozenset().union(*[_evaluate(g, c, view, memo) for c in node.children])
+    else:
+        raise EvalError("not a query node: %r" % (node,))
+    memo[node] = result
+    return result
 
 
 def evaluate_tagged(g: KnowledgeGraph, q: QueryNode, mode: str = RELAXED) -> TaggedAnswerSet:
@@ -79,40 +83,39 @@ def evaluate_tagged(g: KnowledgeGraph, q: QueryNode, mode: str = RELAXED) -> Tag
     """
     if mode not in (RELAXED, STRICT):
         raise EvalError("mode must be relaxed or strict, got %r" % mode)
-    memo: dict[QueryNode, tuple[frozenset[int], frozenset[int]]] = {}
-
-    def rec(node):
-        # returns (full, private); public = full - private
-        if node in memo:
-            return memo[node]
-        if isinstance(node, Anchor):
-            result = (frozenset((node.vertex,)), frozenset())
-        elif isinstance(node, Projection):
-            child_full, child_priv = rec(node.child)
-            child_pub = child_full - child_priv
-            full = _image(g, child_full, node.rel, node.direction, "full")
-            pub = _image(g, child_pub, node.rel, node.direction, "public")
-            priv = full - pub
-            if mode == STRICT:
-                priv = priv | _image(g, child_priv, node.rel, node.direction, "full")
-            result = (full, priv)
-        elif isinstance(node, Intersection):
-            parts = [rec(c) for c in node.children]
-            full = frozenset.intersection(*[f for f, _ in parts])
-            pub = frozenset.intersection(*[f - p for f, p in parts])
-            result = (full, full - pub)
-        elif isinstance(node, Union):
-            parts = [rec(c) for c in node.children]
-            full = frozenset().union(*[f for f, _ in parts])
-            pub = frozenset().union(*[f - p for f, p in parts])
-            result = (full, full - pub)
-        else:
-            raise EvalError("not a query node: %r" % (node,))
-        memo[node] = result
-        return result
-
-    full, priv = rec(q)
+    full, priv = _evaluate_tagged(g, q, mode, {})
     return TaggedAnswerSet(public_members=full - priv, private_members=priv)
+
+
+def _evaluate_tagged(g, node, mode, memo):
+    """(full, private) answer sets of ``node``; public = full - private."""
+    if node in memo:
+        return memo[node]
+    if isinstance(node, Anchor):
+        result = (frozenset((node.vertex,)), frozenset())
+    elif isinstance(node, Projection):
+        child_full, child_priv = _evaluate_tagged(g, node.child, mode, memo)
+        child_pub = child_full - child_priv
+        full = _image(g, child_full, node.rel, node.direction, "full")
+        pub = _image(g, child_pub, node.rel, node.direction, "public")
+        priv = full - pub
+        if mode == STRICT:
+            priv = priv | _image(g, child_priv, node.rel, node.direction, "full")
+        result = (full, priv)
+    elif isinstance(node, Intersection):
+        parts = [_evaluate_tagged(g, c, mode, memo) for c in node.children]
+        full = frozenset.intersection(*[f for f, _ in parts])
+        pub = frozenset.intersection(*[f - p for f, p in parts])
+        result = (full, full - pub)
+    elif isinstance(node, Union):
+        parts = [_evaluate_tagged(g, c, mode, memo) for c in node.children]
+        full = frozenset().union(*[f for f, _ in parts])
+        pub = frozenset().union(*[f - p for f, p in parts])
+        result = (full, full - pub)
+    else:
+        raise EvalError("not a query node: %r" % (node,))
+    memo[node] = result
+    return result
 
 
 # -- independent oracle -------------------------------------------------------

@@ -20,6 +20,7 @@ def make_synthetic_kg(n_entities: int = 240, n_communities: int = 6,
     rng = random.Random(seed)
     entities = ["e%03d" % i for i in range(n_entities)]
     community = {e: i % n_communities for i, e in enumerate(entities)}
+    members = [entities[c::n_communities] for c in range(n_communities)]
     schema = {}
     triples = []
 
@@ -31,7 +32,7 @@ def make_synthetic_kg(n_entities: int = 240, n_communities: int = 6,
         rng.shuffle(perm)
         for e in entities:
             target_comm = perm[community[e]]
-            pool = [x for x in entities if community[x] == target_comm and x != e]
+            pool = [x for x in members[target_comm] if x != e]
             for x in rng.sample(pool, min(edges_per_relation, len(pool))):
                 triples.append((e, name, x))
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -151,3 +152,31 @@ def test_query_line_format(split, kg):
     line = query_line(bq, kg)
     assert len(line.split("\t")) == 5
     assert parse_query_line(line, kg) == bq
+
+
+# sha256 pins of generated data: a change to the generator, the split or the
+# sampler that moves any random draw changes them
+
+
+def _triples_text(triples) -> str:
+    return "".join("%d,%d,%d;" % t for t in sorted(triples))
+
+
+@pytest.mark.parametrize("args, digest", [
+    ((80, 4, 4, 2, 4, 1, 5), "deb5ae0209821953f5f7151d13ab374788a47c2808ac6a36e4c553d310474edd"),
+    ((230, 6, 6, 3, 4, 1, 7), "e9a7672f907f3d02d7b4621314d9b6b00cab27e5c457af8cd4324be33912801c"),
+])
+def test_synthetic_graph_digest(args, digest):
+    g = make_synthetic_kg(*args)
+    text = "\n".join(g.vertex_names) + "".join("|%s:%s" % (r.name, r.kind) for r in g.relations)
+    assert hashlib.sha256((text + _triples_text(g.triples)).encode()).hexdigest() == digest
+
+
+def test_split_and_sample_digest(split):
+    parts = [_triples_text(kg.triples) + "|" + _triples_text(kg.private) + "#"
+             for kg in (split.train, split.valid, split.test)]
+    for qtype in QUERY_TYPES:
+        parts.extend(query_line(bq, split.test) + "\n"
+                     for bq in sample_queries(split, qtype, 5, seed=5))
+    assert hashlib.sha256("".join(parts).encode()).hexdigest() == \
+        "694f6834788429a7ddd76c152389d8744d997b1a2fa63fa8d5626ffe090a833e"

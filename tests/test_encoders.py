@@ -7,6 +7,7 @@ import pytest
 from privkg import autodiff as ad
 from privkg.encoders import (BoxEmbedding, EncoderError, ParticleEmbedding,
                              VectorEmbedding, load_encoder, make_encoder)
+from privkg.graph import from_named_triples
 from privkg.queries import parse_query
 from .conftest import random_graph
 
@@ -376,3 +377,16 @@ def test_checkpoint_vocabulary_mismatch(tmp_path, toy_graph):
     other = random_graph(0, n_vertices=10, n_triples=20)
     with pytest.raises(EncoderError, match="vocabulary"):
         load_encoder(path, other)
+
+
+def test_checkpoint_vocabulary_names_mismatch(tmp_path):
+    def graph(names, relation="r"):
+        return from_named_triples([(names[0], relation, names[1]), (names[1], relation, names[2])],
+                                  {relation: "rel"})
+    m = make_encoder("gqe", graph("xyz"), dim=4, seed=0)
+    path = tmp_path / "m.ckpt"
+    m.save(path)
+    assert load_encoder(path, graph("xyz")).kind == "gqe"
+    for other in (graph("pqr"), graph("xyz", relation="s")):
+        with pytest.raises(EncoderError, match="vocabulary"):
+            load_encoder(path, other)

@@ -2,9 +2,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from privkg.graph import (ATTR, REL, GraphError, Triple, from_named_triples,
-                          load_schema, load_triples, load_triple_set, write_triples)
+from privkg.graph import (ATTR, REL, GraphError, KnowledgeGraph, Relation, Triple,
+                          from_named_triples, load_schema, load_triples, load_triple_set,
+                          write_triples)
 from .conftest import random_graph
 
 
@@ -150,10 +152,56 @@ def test_neighbors_public_equals_full_on_public_view():
 
 def test_index_round_trip():
     g = random_graph(17, n_vertices=40, n_triples=150)
-    from_fwd = {Triple(h, r, t) for (h, r), tails in g._fwd.items() for t in tails}
-    from_bwd = {Triple(h, r, t) for (t, r), heads in g._bwd.items() for h in heads}
+    vertices, rels = range(g.num_vertices()), range(len(g.relations))
+    from_fwd = {Triple(h, r, t) for h in vertices for r in rels
+                for t in g.neighbors(h, r, "forward")}
+    from_bwd = {Triple(h, r, t) for t in vertices for r in rels
+                for h in g.neighbors(t, r, "backward")}
     assert from_fwd == g.triples
     assert from_bwd == g.triples
+
+
+@st.composite
+def graphs_with_private(draw):
+    n_vertices = draw(st.integers(1, 8))
+    kinds = draw(st.lists(st.sampled_from([REL, ATTR]), min_size=1, max_size=4))
+    triples = draw(st.frozensets(st.builds(Triple, st.integers(0, n_vertices - 1),
+                                           st.integers(0, len(kinds) - 1),
+                                           st.integers(0, n_vertices - 1)), max_size=30))
+    g = KnowledgeGraph(["v%d" % i for i in range(n_vertices)],
+                       [Relation(i, "r%d" % i, kind) for i, kind in enumerate(kinds)], triples)
+    attrs = sorted(g.attribute_triples())
+    return g.mark_private(draw(st.sets(st.sampled_from(attrs))) if attrs else ())
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_private(), st.booleans())
+def test_neighbors_match_linear_scan_property(g, public_first):
+    views = ("public", "full") if public_first else ("full", "public")
+    for view in views:
+        visible = g.triples - g.private if view == "public" else g.triples
+        for v in range(g.num_vertices()):
+            for r in range(len(g.relations)):
+                fwd = frozenset(t.tail for t in visible if t.head == v and t.rel == r)
+                bwd = frozenset(t.head for t in visible if t.tail == v and t.rel == r)
+                assert g.neighbors(v, r, "forward", view) == fwd
+                assert g.neighbors(v, r, "backward", view) == bwd
+    for view in (g, g.public_view()):
+        assert view.incident_vertices() == sorted({v for t in view.triples for v in t[::2]})
+    assert g.public_view().triples == g.triples - g.private
+
+
+@pytest.mark.parametrize("triples, private, match", [
+    ([Triple(0, 0, 2)], (), "endpoint outside vertex table"),
+    ([Triple(-1, 0, 1)], (), "endpoint outside vertex table"),
+    ([Triple(0, 2, 1)], (), "relation outside relation table"),
+    ([Triple(0, 1, 1)], [Triple(1, 1, 0)], "private triple not in graph"),
+    ([Triple(0, 0, 1)], [Triple(0, 0, 1)], "non-attribute"),
+])
+def test_constructor_rejects_inconsistent_tables(triples, private, match):
+    relations = [Relation(0, "r", REL), Relation(1, "a", ATTR)]
+    with pytest.raises(GraphError, match=match):
+        KnowledgeGraph(["x", "y"], relations, triples, private)
 
 
 def test_neighbors_unknown_ids(toy_graph):

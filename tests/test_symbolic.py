@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -138,3 +139,18 @@ def test_operator_tagging_formulas_hold_literally(seed):
         expected_private = frozenset().union(*fulls) - \
             frozenset().union(*[t.public_members for t in tagged])
         assert union.private_members == expected_private
+
+
+def test_evaluation_leaves_no_reference_cycles():
+    g = mark_random_private(random_graph(5, n_vertices=30, n_triples=100), 8, 5)
+    q = random_query(g, random.Random(5), max_depth=4)
+    evaluate(g, q)
+    evaluate_tagged(g, q)  # fill the graph's lookup memo and CSR indices first
+    gc.collect()
+    gc.disable()
+    try:
+        evaluate(g, q)
+        evaluate_tagged(g, q, "strict")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
