@@ -359,6 +359,49 @@ def l2_norm(a, axis=-1) -> Tensor:
     return sqrt(reduce_sum(multiply(a, a), axis=axis))
 
 
+# below this share of ‖q‖² + ‖e‖², cancellation in the expansion is comparable
+# to the squared distance itself, so those pairs take the difference form
+_NEAR = 1e-4
+
+
+def distances(rows, table) -> Tensor:
+    """Euclidean distance from every row of ``rows`` (B, d) to every row of
+    ``table`` (n, d), shape (B, n), as one tape node.
+
+    The squared distance is expanded as ‖q‖² + ‖e‖² − 2 q·e, one matmul and no
+    (B, n, d) array. Near pairs, below ``_NEAR`` of ‖q‖² + ‖e‖², are recomputed
+    in difference form in forward and backward, so a perfect match is exactly
+    0 and its gradient exactly 0 (sqrt's subgradient at 0)."""
+    rows, table = _both(rows, table)
+    q, e = rows.data, table.data
+    if q.ndim != 2 or e.ndim != 2 or q.shape[1] != e.shape[1]:
+        raise AutodiffError("distances needs (B, d) and (n, d) operands, got %r and %r"
+                            % (q.shape, e.shape))
+    norms = (q * q).sum(axis=1)[:, None] + (e * e).sum(axis=1)
+    sq = norms - 2.0 * (q @ e.T)
+    i, j = np.nonzero(sq < _NEAR * norms)
+    near = q[i] - e[j]
+    sq[i, j] = (near * near).sum(axis=1)
+    dist = np.sqrt(np.maximum(sq, 0.0))
+    out = Tensor(dist, (rows, table))
+
+    def back(g):
+        w = np.divide(g, dist, out=np.zeros_like(dist), where=dist > 0)
+        pair = w[i, j][:, None] * near
+        w[i, j] = 0.0
+        if rows.requires_grad:
+            grad = q * w.sum(axis=1)[:, None] - w @ e
+            np.add.at(grad, i, pair)
+            rows._accumulate(grad)
+        if table.requires_grad:
+            grad = e * w.sum(axis=0)[:, None] - w.T @ q
+            np.add.at(grad, j, -pair)
+            table._accumulate(grad)
+
+    out._backward = back
+    return out
+
+
 def softmax(a, axis=-1) -> Tensor:
     """Stable softmax (max-subtracted)."""
     a = tensor(a)

@@ -240,9 +240,7 @@ class GQEEncoder(Encoder):
         return VectorEmbedding(ad.matmul(pooled, self.post_w))
 
     def scores(self, emb):
-        # the difference form, not a matmul expansion: a perfect match scores 0
-        diff = ad.subtract(self.ent, ad.reshape(emb.vec, (-1, 1, self.dim)))
-        return -ad.sqrt(ad.reduce_sum(diff * diff, axis=2))
+        return -ad.distances(emb.vec, self.ent)
 
 
 # -- box model ----------------------------------------------------------------
@@ -361,11 +359,9 @@ class Q2PEncoder(Encoder):
         return ParticleEmbedding(ad.matmul(hidden, s["int.mlp_w2"]) + s["int.mlp_b2"])
 
     def scores(self, emb):
-        p = emb.particles
-        diff = ad.subtract(ad.reshape(self.ent, (-1, 1, self.dim)),
-                           ad.reshape(p, (p.shape[0], 1) + p.shape[1:]))
-        dists = ad.sqrt(ad.reduce_sum(diff * diff, axis=3))  # (B, nv, m)
-        return -ad.reduce_min(dists, axis=2)  # max over particles of -dist
+        b, m, d = emb.particles.shape
+        dists = ad.distances(ad.reshape(emb.particles, (b * m, d)), self.ent)
+        return -ad.reduce_min(ad.reshape(dists, (b, m, -1)), axis=1)  # max over particles
 
 
 ENCODERS = {"gqe": GQEEncoder, "q2b": Q2BEncoder, "q2p": Q2PEncoder}

@@ -27,18 +27,17 @@ class EvalError(Exception):
 def rank(scores: np.ndarray, target: int, filter_out=frozenset()) -> int:
     """Filtered, pessimistic rank of the target among all scored vertices."""
     scores = np.asarray(scores, dtype=np.float64)
+    filter_out = frozenset(filter_out)  # a repeated id would be subtracted twice
     if not 0 <= target < scores.size:
         raise EvalError("target %d not scored" % target)
     if target in filter_out:
         raise EvalError("target %d is filtered out" % target)
     if not np.isfinite(scores).all():  # a NaN compares false both ways: it would rank 1
         raise EvalError("non-finite scores")
-    mask = np.ones(scores.size, dtype=bool)
-    mask[np.fromiter(filter_out, dtype=np.intp, count=len(filter_out))] = False
-    mask[target] = False
-    pool = scores[mask]
+    # every vertex scoring >= the target, itself included, minus the filtered ones
     s = scores[target]
-    return 1 + int((pool > s).sum()) + int((pool == s).sum())
+    filtered = scores[np.fromiter(filter_out, dtype=np.intp, count=len(filter_out))]
+    return int(np.count_nonzero(scores >= s) - np.count_nonzero(filtered >= s))
 
 
 @dataclass(frozen=True)

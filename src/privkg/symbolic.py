@@ -48,12 +48,14 @@ def evaluate(g: KnowledgeGraph, q: QueryNode, view: str = "full") -> frozenset[i
 
 # The recursions are module-level functions that take the memo as an argument:
 # a nested function that calls itself is a reference cycle, and every call
-# would leave its memo and closure for the cyclic garbage collector.
+# would leave its memo and closure for the cyclic garbage collector. The memo
+# is keyed by id(node): a frozen dataclass hashes its whole subtree on every
+# lookup, and the query holds every node alive for the whole call.
 
 
 def _evaluate(g, node, view, memo):
-    if node in memo:
-        return memo[node]
+    if id(node) in memo:
+        return memo[id(node)]
     if isinstance(node, Anchor):
         result = frozenset((node.vertex,))
     elif isinstance(node, Projection):
@@ -65,7 +67,7 @@ def _evaluate(g, node, view, memo):
         result = frozenset().union(*[_evaluate(g, c, view, memo) for c in node.children])
     else:
         raise EvalError("not a query node: %r" % (node,))
-    memo[node] = result
+    memo[id(node)] = result
     return result
 
 
@@ -89,8 +91,8 @@ def evaluate_tagged(g: KnowledgeGraph, q: QueryNode, mode: str = RELAXED) -> Tag
 
 def _evaluate_tagged(g, node, mode, memo):
     """(full, private) answer sets of ``node``; public = full - private."""
-    if node in memo:
-        return memo[node]
+    if id(node) in memo:
+        return memo[id(node)]
     if isinstance(node, Anchor):
         result = (frozenset((node.vertex,)), frozenset())
     elif isinstance(node, Projection):
@@ -114,7 +116,7 @@ def _evaluate_tagged(g, node, mode, memo):
         result = (full, full - pub)
     else:
         raise EvalError("not a query node: %r" % (node,))
-    memo[node] = result
+    memo[id(node)] = result
     return result
 
 

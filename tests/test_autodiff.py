@@ -269,3 +269,81 @@ def test_node_on_two_paths_gets_both_gradients():
     loss.backward()
     # loss = sum(2x + 8x^3): d/dx = 2 + 24x^2
     assert np.max(np.abs(x.grad - (2 + 24 * x.data ** 2))) < 1e-12
+
+
+# -- fused distances ----------------------------------------------------------------
+
+
+def difference_form_distances(q, e):
+    """The composition GQE scored with before ``ad.distances``: (B, n, d) on the tape."""
+    diff = ad.subtract(e, ad.reshape(q, (-1, 1, q.shape[1])))
+    return ad.sqrt(ad.reduce_sum(diff * diff, axis=2))
+
+
+def _distance_loss(fn, q_data, e_data, weights):
+    q = ad.Tensor(q_data, requires_grad=True)
+    e = ad.Tensor(e_data, requires_grad=True)
+    dist = fn(q, e)
+    loss = ad.reduce_sum(ad.Tensor(weights) * ad.log_softmax(-dist, axis=1))
+    loss.backward()
+    return dist.data, q.grad, e.grad
+
+
+@pytest.mark.parametrize("rows", [1, 280])
+@pytest.mark.parametrize("scale", [1e-3, 0.18, 3.0, 1e3])
+def test_distances_match_difference_form(rows, scale):
+    rng = np.random.default_rng(rows)
+    e = rng.normal(size=(302, 32)) * scale
+    q = rng.normal(size=(rows, 32)) * scale
+    q[0] = e[5]  # exact duplicate: distance exactly 0
+    if rows > 2:
+        q[1] = e[7] + 1e-9 * scale  # near duplicate: the expansion cancels
+        q[2] = e[5]
+    weights = rng.normal(size=(rows, 302))
+    got = _distance_loss(ad.distances, q, e, weights)
+    want = _distance_loss(difference_form_distances, q, e, weights)
+    assert got[0][0, 5] == 0.0
+    assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * np.max(want[0])
+    largest = max(np.max(np.abs(want[1])), np.max(np.abs(want[2])))
+    for g, w in zip(got[1:], want[1:]):
+        assert np.max(np.abs(g - w)) <= 1e-12 * largest
+
+
+def test_distances_of_exact_duplicate_has_zero_gradient():
+    rng = np.random.default_rng(3)
+    e_data = rng.normal(size=(6, 4))
+    q = ad.Tensor(e_data[[2, 4]].copy(), requires_grad=True)
+    e = ad.Tensor(e_data, requires_grad=True)
+    pick = np.zeros((2, 6))
+    pick[0, 2] = pick[1, 4] = 1.0
+    dist = ad.distances(q, e)
+    assert dist.data[0, 2] == 0.0 and dist.data[1, 4] == 0.0
+    ad.reduce_sum(dist * pick).backward()
+    assert not q.grad.any() and not e.grad.any()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_distances_match_finite_differences(seed):
+    rng = np.random.default_rng(200 + seed)
+    q0 = rng.normal(size=(3, 5))
+    e0 = rng.normal(size=(4, 5))
+    w0 = rng.normal(size=(3, 4))
+
+    def loss_value(q_data, e_data):
+        q = ad.Tensor(q_data, requires_grad=True)
+        e = ad.Tensor(e_data, requires_grad=True)
+        return ad.reduce_sum(ad.Tensor(w0) * ad.distances(q, e)), q, e
+
+    out, q, e = loss_value(q0, e0)
+    out.backward()
+    fq = finite_diff(lambda v: loss_value(v, e0)[0].item(), q0)
+    fe = finite_diff(lambda v: loss_value(q0, v)[0].item(), e0)
+    assert np.max(np.abs(q.grad - fq)) / max(np.max(np.abs(fq)), 1) < 1e-6
+    assert np.max(np.abs(e.grad - fe)) / max(np.max(np.abs(fe)), 1) < 1e-6
+
+
+def test_distances_rejects_mismatched_operands():
+    with pytest.raises(ad.AutodiffError):
+        ad.distances(np.zeros((2, 3)), np.zeros((4, 2)))
+    with pytest.raises(ad.AutodiffError):
+        ad.distances(np.zeros((2, 1, 3)), np.zeros((4, 3)))

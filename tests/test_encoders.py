@@ -9,7 +9,8 @@ from privkg.encoders import (BoxEmbedding, EncoderError, ParticleEmbedding,
                              VectorEmbedding, load_encoder, make_encoder)
 from privkg.graph import from_named_triples
 from privkg.queries import parse_query
-from .conftest import random_graph
+from privkg.training import total_loss
+from .conftest import random_graph, random_query
 
 KINDS = ("gqe", "q2b", "q2p")
 
@@ -212,6 +213,75 @@ def test_dnf_scores_are_max_over_disjuncts(models, toy_graph):
         combined = m.scores_all(embs).data
         individual = np.concatenate([m.scores(e).data for e in embs])
         assert np.array_equal(combined, individual.max(axis=0))
+
+
+def difference_form_scores(m, emb):
+    """GQE and Q2P scores as composed before ``ad.distances``: (B, nv, d) on the tape."""
+    if m.kind == "gqe":
+        diff = ad.subtract(m.ent, ad.reshape(emb.vec, (-1, 1, m.dim)))
+        return -ad.sqrt(ad.reduce_sum(diff * diff, axis=2))
+    p = emb.particles
+    diff = ad.subtract(ad.reshape(m.ent, (-1, 1, m.dim)),
+                       ad.reshape(p, (p.shape[0], 1) + p.shape[1:]))
+    return -ad.reduce_min(ad.sqrt(ad.reduce_sum(diff * diff, axis=3)), axis=2)
+
+
+@pytest.mark.parametrize("kind", ["gqe", "q2p"])
+def test_scores_match_difference_form(kind, monkeypatch):
+    g = random_graph(4, n_vertices=40, n_triples=150)
+    m = make_encoder(kind, g, dim=8, seed=6, n_particles=3)
+    rng = random.Random(4)
+    queries = [random_query(g, rng, max_depth=3) for _ in range(12)]
+    queries += [parse_query("(a %s)" % g.vertex_names[v], g) for v in (0, 3, 3)]
+    targets = [[rng.randrange(40) for _ in range(2)] for _ in queries]
+    weights = np.random.default_rng(4).normal(size=2 * len(queries))
+
+    def run():
+        m.store.zero_grad()
+        logp = m.log_probabilities(queries, targets)
+        ad.reduce_sum(logp * weights).backward()
+        return logp.data, {n: p.grad.copy() for n, p in m.store.params.items()}
+
+    got = run()
+    monkeypatch.setattr(m, "scores", lambda emb: difference_form_scores(m, emb))
+    want = run()
+    assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * np.max(np.abs(want[0]))
+    largest = max(np.max(np.abs(w)) for w in want[1].values())
+    for name, w in want[1].items():
+        assert np.max(np.abs(got[1][name] - w)) <= 1e-12 * largest, name
+
+
+def _tape_arrays(loss):
+    """Every array the tape holds: node values and the arrays backward closures keep."""
+    seen, todo = set(), [loss]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        yield node.data
+        todo.extend(node.parents)
+        closure = node._backward.__closure__ if node._backward else None
+        for cell in closure or ():
+            value = cell.cell_contents
+            for item in value if isinstance(value, (tuple, list)) else (value,):
+                if isinstance(item, np.ndarray):
+                    yield item
+
+
+def test_gqe_loss_keeps_no_rows_by_vertices_by_dim_array():
+    g = random_graph(2, n_vertices=40, n_triples=150)
+    m = make_encoder("gqe", g, dim=8, seed=1)
+    rng = random.Random(2)
+    batch = []
+    while len(batch) < 120:
+        h, r, t = rng.choice(sorted(g.triples))
+        batch.append((parse_query("(p %s (a %s))" % (g.relations[r].name, g.vertex_names[h]), g),
+                      {t}))
+    loss, _, _ = total_loss(m, batch, sorted(g.triples)[:110], 0.5, "both")
+    nv, d = g.num_vertices(), m.dim
+    largest = max(a.size for a in _tape_arrays(loss))
+    assert largest < 100 * nv * d  # every scoring call has at least 100 rows
 
 
 # -- probabilities ------------------------------------------------------------------

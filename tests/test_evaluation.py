@@ -2,6 +2,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from privkg.benchmark import BenchmarkQuery
 from privkg.encoders import make_encoder
@@ -251,3 +252,20 @@ def test_calibrate_noise_hits_target():
     assert sigma > 0
     # bisection stops within tolerance or returns the closest probe
     assert abs(got - target) <= 0.25 * target
+
+
+def _sort_rank(scores, target, filt):
+    """Position of the target in the unfiltered vertices sorted by score, ties first."""
+    pool = [v for v in range(len(scores)) if v not in filt]
+    pool.sort(key=lambda v: (-scores[v], v == target))
+    return pool.index(target) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=40), st.data())
+def test_rank_matches_sort_property(values, data):
+    scores = np.array(values, dtype=np.float64) / 2  # few distinct values: many ties
+    target = data.draw(st.integers(0, len(values) - 1))
+    filt = data.draw(st.frozensets(st.integers(0, len(values) - 1))) - {target}
+    assert rank(scores, target, filt) == _sort_rank(scores, target, filt)
+    assert rank(scores, target, list(filt) * 2) == _sort_rank(scores, target, filt)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from privkg.graph import REL, ATTR, Triple, from_named_triples
-from privkg.queries import parse_query
+from privkg.queries import Anchor, Intersection, Projection, parse_query
 from privkg.symbolic import (EvalError, brute_force_oracle, evaluate,
                              evaluate_tagged)
 from .conftest import mark_random_private, random_graph, random_query
@@ -154,3 +154,22 @@ def test_evaluation_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_structurally_equal_subtrees_evaluate_without_hashing(toy_graph, monkeypatch):
+    # two equal but distinct branches; the memo keys by identity, so no node is hashed
+    text = "(p LiveIn (i (p WinAward (a Hinton)) (p WinAward (a LeCun))))"
+    q = parse_query("(i %s %s)" % (text, text), toy_graph)
+    assert q.children[0] == q.children[1] and q.children[0] is not q.children[1]
+    single = parse_query(text, toy_graph)
+    full, tagged = evaluate(toy_graph, single), evaluate_tagged(toy_graph, single, "strict")
+    for cls in (Anchor, Projection, Intersection):
+        monkeypatch.setattr(cls, "__hash__", _unhashable)
+    assert evaluate(toy_graph, q) == full
+    assert evaluate(toy_graph, q, "public") == evaluate(toy_graph, single, "public")
+    assert evaluate_tagged(toy_graph, q, "strict") == tagged
+    assert full == brute_force_oracle(toy_graph, single)
+
+
+def _unhashable(node):
+    raise AssertionError("query node hashed during evaluation")
