@@ -2,6 +2,10 @@
 
 Every operation builds a fresh node; calling ``backward`` on a scalar loss
 walks the recorded graph once. No graph reuse across steps.
+
+Encoders score against the whole entity table through two fused ops, each one
+tape node that keeps no (B, n, d) array: ``distances`` (Euclidean; GQE and
+Q2P) and ``box_distances`` (Query2Box's clipped L1; Q2B).
 """
 
 from __future__ import annotations
@@ -332,11 +336,6 @@ def exp(a) -> Tensor:
     return _unary(a, e, lambda: e)
 
 
-def log(a) -> Tensor:
-    a = tensor(a)
-    return _unary(a, np.log(a.data), lambda: 1.0 / a.data)
-
-
 def sqrt(a) -> Tensor:
     a = tensor(a)
     r = np.sqrt(a.data)
@@ -348,15 +347,7 @@ def absolute(a) -> Tensor:
     return _unary(a, np.abs(a.data), lambda: np.sign(a.data))
 
 
-# -- norms, softmax, attention --------------------------------------------
-
-
-def l1_norm(a, axis=-1) -> Tensor:
-    return reduce_sum(absolute(a), axis=axis)
-
-
-def l2_norm(a, axis=-1) -> Tensor:
-    return sqrt(reduce_sum(multiply(a, a), axis=axis))
+# -- fused distances, softmax, attention ---------------------------------
 
 
 # below this share of ‖q‖² + ‖e‖², cancellation in the expansion is comparable
@@ -397,6 +388,61 @@ def distances(rows, table) -> Tensor:
             grad = e * w.sum(axis=0)[:, None] - w.T @ q
             np.add.at(grad, j, -pair)
             table._accumulate(grad)
+
+    out._backward = back
+    return out
+
+
+def box_distances(center, offset, table, alpha) -> Tensor:
+    """Query2Box distance from every box (``center``, ``offset``: (B, d)) to
+    every row of ``table`` (n, d), shape (B, n), as one tape node.
+
+    With x = |e − c|, the distance is Σ max(x − o, 0) + alpha·Σ min(x, o),
+    computed as alpha·Σ x + (1 − alpha)·Σ max(x − o, 0): two non-negative
+    sums, one row at a time over one (n, d) temporary. Backward recomputes x,
+    so the tape keeps no (B, n, d) array. Subgradients are those of the
+    clipped-L1 composition: on the surface (x == o) the gradient goes to the
+    offset, and a point box (o == 0) passes none to its offset's inside term."""
+    center, offset, table = tensor(center), tensor(offset), tensor(table)
+    c, o, e = center.data, offset.data, table.data
+    if c.ndim != 2 or e.ndim != 2 or o.shape != c.shape or c.shape[1] != e.shape[1]:
+        raise AutodiffError("box_distances needs (B, d) center and offset and an (n, d) table,"
+                            " got %r, %r and %r" % (c.shape, o.shape, e.shape))
+    if (o < 0).any():
+        raise AutodiffError("box_distances needs non-negative offsets")
+    ones = np.ones(e.shape[1])  # x @ ones sums the short last axis faster than x.sum(1)
+    dist = np.empty((c.shape[0], e.shape[0]))
+    x = np.empty_like(e)
+    for b in range(c.shape[0]):
+        np.abs(np.subtract(e, c[b], out=x), out=x)
+        inner = x @ ones
+        x -= o[b]
+        np.maximum(x, 0.0, out=x)
+        dist[b] = alpha * inner + (1.0 - alpha) * (x @ ones)
+    out = Tensor(dist, (center, offset, table))
+
+    def back(g):
+        grad_c, grad_o = np.empty_like(c), np.empty_like(o)
+        grad_e = np.zeros_like(e) if table.requires_grad else None
+        for b in range(c.shape[0]):
+            y = e - c[b]
+            sign = np.sign(y)
+            x = np.abs(y, out=y)
+            inside, outside = x < o[b], x > o[b]
+            # ∂/∂x: 1 outside, alpha strictly inside, 0 on the surface
+            dx = inside * alpha
+            dx[outside] = 1.0
+            dx *= sign
+            grad_c[b] = -(g[b] @ dx)
+            # ∂/∂o: −1 outside, plus alpha on or outside the surface when o > 0
+            grad_o[b] = (alpha * (o[b] > 0) * (g[b].sum() - g[b] @ inside)
+                         - g[b] @ outside)
+            if grad_e is not None:
+                grad_e += g[b][:, None] * dx
+        center._accumulate(grad_c)
+        offset._accumulate(grad_o)
+        if grad_e is not None:
+            table._accumulate(grad_e)
 
     out._backward = back
     return out

@@ -290,14 +290,7 @@ class Q2BEncoder(Encoder):
         return BoxEmbedding(new_center, min_offset * shrink)
 
     def scores(self, emb):
-        center, offset = (ad.reshape(t, (-1, 1, self.dim)) for t in emb)
-        q_max = center + offset
-        q_min = center - offset
-        outside = ad.reduce_sum(ad.relu(ad.subtract(self.ent, q_max)) +
-                                ad.relu(ad.subtract(q_min, self.ent)), axis=2)
-        clipped = ad.minimum(q_max, ad.maximum(q_min, self.ent))
-        inside = ad.reduce_sum(ad.absolute(ad.subtract(center, clipped)), axis=2)
-        return -(outside + self.alpha * inside)
+        return -ad.box_distances(emb.center, emb.offset, self.ent, self.alpha)
 
     def perturb(self, emb, rng, sigma):
         center, offset = super().perturb(emb, rng, sigma)

@@ -172,19 +172,25 @@ def to_dnf(q: QueryNode) -> DnfQuery:
 
 
 def _dnf(q: QueryNode) -> list:
+    """Disjuncts of ``q``; a union-free subtree comes back as the same object."""
     if isinstance(q, Anchor):
         return [q]
     if isinstance(q, Projection):
-        return [Projection(q.rel, q.direction, d) for d in _dnf(q.child)]
+        disjuncts = _dnf(q.child)
+        if len(disjuncts) == 1 and disjuncts[0] is q.child:
+            return [q]
+        return [Projection(q.rel, q.direction, d) for d in disjuncts]
     if isinstance(q, Union):
         out = []
         for c in q.children:
             out.extend(_dnf(c))
         return out
     if isinstance(q, Intersection):
+        per_child = [_dnf(c) for c in q.children]
+        if all(len(ds) == 1 and ds[0] is c for ds, c in zip(per_child, q.children)):
+            return [q]
         combos = [()]
-        for c in q.children:
-            child_disjuncts = _dnf(c)
+        for child_disjuncts in per_child:
             combos = [prefix + (d,) for prefix in combos for d in child_disjuncts]
         return [Intersection(combo) for combo in combos]
     raise QueryError("not a query node: %r" % (q,))

@@ -42,10 +42,6 @@ def test_reductions_and_norms_match_loops():
                          [min(a[i, j] for i in range(3)) for j in range(4)])) < 1e-12
     assert np.max(np.abs(ad.reduce_mean(a, axis=1).data -
                          [sum(a[i]) / 4 for i in range(3)])) < 1e-12
-    assert np.max(np.abs(ad.l1_norm(a, axis=1).data -
-                         [sum(abs(v) for v in a[i]) for i in range(3)])) < 1e-12
-    assert np.max(np.abs(ad.l2_norm(a, axis=1).data -
-                         [math.sqrt(sum(v * v for v in a[i])) for i in range(3)])) < 1e-12
 
 
 def test_pointwise_nonlinearities_match_loops():
@@ -144,7 +140,7 @@ def test_composite_expressions_match_finite_differences(seed):
         h = ad.tanh(ad.matmul(x, w))
         s = ad.softmax(ad.sigmoid(h) + ad.relu(x), axis=1)
         a = ad.attention(h, s, x)
-        out = ad.reduce_sum(ad.l2_norm(a, axis=1)) + ad.reduce_sum(ad.reduce_min(h, axis=0))
+        out = ad.reduce_sum(ad.sqrt(ad.reduce_sum(a * a, axis=1))) + ad.reduce_sum(ad.reduce_min(h, axis=0))
         return out, x, w
 
     out, x, w = loss_value(x0, w0)
@@ -347,3 +343,55 @@ def test_distances_rejects_mismatched_operands():
         ad.distances(np.zeros((2, 3)), np.zeros((4, 2)))
     with pytest.raises(ad.AutodiffError):
         ad.distances(np.zeros((2, 1, 3)), np.zeros((4, 3)))
+
+
+# -- fused box distances --------------------------------------------------------------
+
+
+def test_box_distances_subgradients_on_the_surface():
+    # one dimension per case; values are exact in binary, so every tie is exact
+    c = ad.Tensor(np.full((1, 5), 0.5), requires_grad=True)
+    o = ad.Tensor(np.array([[0.25, 0.25, 0.25, 0.0, 0.0]]), requires_grad=True)
+    e = ad.Tensor(np.array([[0.75, 0.25, 1.0, 0.5, 1.5]]), requires_grad=True)
+    dist = ad.box_distances(c, o, e, 0.125)
+    # surface, surface, outside (0.25 + 0.125 * 0.25), point box at c, point box outside
+    assert dist.data[0, 0] == 0.125 * (0.25 + 0.25 + 0.25) + 0.25 + 1.0
+    ad.reduce_sum(dist).backward()
+    # on the surface the gradient goes to the offset (alpha), not to x; a point
+    # box at its own vertex passes nothing; outside a point box the offset gets -1
+    assert c.grad.tolist() == [[0.0, 0.0, -1.0, 0.0, -1.0]]
+    assert e.grad.tolist() == [[0.0, 0.0, 1.0, 0.0, 1.0]]
+    assert o.grad.tolist() == [[0.125, 0.125, 0.125 - 1.0, 0.0, -1.0]]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_box_distances_match_finite_differences(seed):
+    rng = np.random.default_rng(300 + seed)
+    c0 = rng.normal(size=(3, 5))
+    o0 = np.abs(rng.normal(size=(3, 5)))
+    e0 = rng.normal(size=(4, 5))
+    w0 = rng.normal(size=(3, 4))
+
+    def loss_value(c_data, o_data, e_data):
+        c, o, e = (ad.Tensor(v, requires_grad=True) for v in (c_data, o_data, e_data))
+        return ad.reduce_sum(ad.Tensor(w0) * ad.box_distances(c, o, e, 0.3)), c, o, e
+
+    out, c, o, e = loss_value(c0, o0, e0)
+    out.backward()
+    for got, fd in ((c.grad, finite_diff(lambda v: loss_value(v, o0, e0)[0].item(), c0)),
+                    (o.grad, finite_diff(lambda v: loss_value(c0, v, e0)[0].item(), o0)),
+                    (e.grad, finite_diff(lambda v: loss_value(c0, o0, v)[0].item(), e0))):
+        assert np.max(np.abs(got - fd)) / max(np.max(np.abs(fd)), 1) < 1e-6
+
+
+def test_box_distances_rejects_bad_operands():
+    ok = np.zeros((2, 3))
+    with pytest.raises(ad.AutodiffError):
+        ad.box_distances(ok, ok, np.zeros((4, 2)), 0.02)
+    with pytest.raises(ad.AutodiffError):
+        ad.box_distances(ok, np.zeros((1, 3)), np.zeros((4, 3)), 0.02)
+    with pytest.raises(ad.AutodiffError):
+        ad.box_distances(np.zeros((2, 1, 3)), np.zeros((2, 1, 3)), np.zeros((4, 3)), 0.02)
+    with pytest.raises(ad.AutodiffError, match="non-negative"):
+        ad.box_distances(ok, np.array([[0.1, -1e-12, 0.0], [0.0, 0.0, 0.0]]),
+                         np.zeros((4, 3)), 0.02)

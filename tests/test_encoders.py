@@ -8,7 +8,7 @@ from privkg import autodiff as ad
 from privkg.encoders import (BoxEmbedding, EncoderError, ParticleEmbedding,
                              VectorEmbedding, load_encoder, make_encoder)
 from privkg.graph import from_named_triples
-from privkg.queries import parse_query
+from privkg.queries import Anchor, Intersection, Projection, parse_query
 from privkg.training import total_loss
 from .conftest import random_graph, random_query
 
@@ -282,6 +282,87 @@ def test_gqe_loss_keeps_no_rows_by_vertices_by_dim_array():
     nv, d = g.num_vertices(), m.dim
     largest = max(a.size for a in _tape_arrays(loss))
     assert largest < 100 * nv * d  # every scoring call has at least 100 rows
+
+
+def test_q2b_loss_keeps_no_rows_by_vertices_by_dim_array():
+    g = random_graph(2, n_vertices=40, n_triples=150)
+    m = make_encoder("q2b", g, dim=8, seed=1)
+    rng = random.Random(2)
+    batch = []
+    while len(batch) < 120:
+        h, r, t = rng.choice(sorted(g.triples))
+        batch.append((parse_query("(p %s (a %s))" % (g.relations[r].name, g.vertex_names[h]), g),
+                      {t}))
+    loss, _, _ = total_loss(m, batch, sorted(g.triples)[:110], 0.5, "both")
+    nv, d = g.num_vertices(), m.dim
+    largest = max(a.size for a in _tape_arrays(loss))
+    assert largest < 100 * nv * d  # every scoring call has at least 100 rows
+
+
+def clipped_l1_scores(m, emb):
+    """Q2B scores as composed before ``ad.box_distances``: (B, nv, d) on the tape."""
+    center, offset = (ad.reshape(t, (-1, 1, m.dim)) for t in emb)
+    q_max = center + offset
+    q_min = center - offset
+    outside = ad.reduce_sum(ad.relu(ad.subtract(m.ent, q_max)) +
+                            ad.relu(ad.subtract(q_min, m.ent)), axis=2)
+    clipped = ad.minimum(q_max, ad.maximum(q_min, m.ent))
+    inside = ad.reduce_sum(ad.absolute(ad.subtract(center, clipped)), axis=2)
+    return -(outside + m.alpha * inside)
+
+
+@pytest.mark.parametrize("rows", [1, 280])
+@pytest.mark.parametrize("grid", [False, True])
+def test_box_distances_match_composition(rows, grid, monkeypatch):
+    g = random_graph(5, n_vertices=60, n_triples=200)
+    m = make_encoder("q2b", g, dim=8, seed=2)
+    if grid:  # values on a 1/8 grid put many entities exactly on a box surface
+        for p in (m.ent, m.rel_c, m.rel_o):
+            p.data[:] = np.round(p.data * 8) / 8
+    m.rel_o.data[0] = 2.0  # relation 0 forward: every entity inside the box
+    m.rel_o.data[1] = 1e-3  # relation 0 backward: every entity outside
+    m.rel_o.data[2, :4] = 0.0  # relation 1 forward: a point in half the dimensions
+    nv, n_rel_rows = g.num_vertices(), 2 * len(g.relations)
+    rng = random.Random(rows)
+
+    def one_hop(row):
+        return Projection(row // 2, "backward" if row % 2 else "forward",
+                          Anchor(rng.randrange(nv)))
+
+    if rows == 1:  # one query per shape: every scoring call has one row
+        hops = [one_hop(2)]
+        queries = hops + [Anchor(7), Projection(0, "forward", one_hop(1)),
+                          Intersection((one_hop(0), one_hop(3)))]
+    else:
+        hops = [one_hop(i % n_rel_rows) for i in range(rows)]
+        queries = hops + [Anchor(v) for v in range(0, nv, 2)]
+        queries += [random_query(g, rng, max_depth=3) for _ in range(10)]
+    # an anchor box is a point: its own vertex is at distance 0 with zero gradient
+    targets = [[q.vertex] if isinstance(q, Anchor) else [rng.randrange(nv) for _ in range(2)]
+               for q in queries]
+    weights = np.random.default_rng(rows).normal(size=sum(map(len, targets)))
+    emb = m._encode_group(hops)
+    assert emb.center.shape[0] == rows
+    if grid:
+        x = np.abs(m.ent.data - emb.center.data[:, None])
+        assert (x == emb.offset.data[:, None]).any()
+
+    def run():
+        m.store.zero_grad()
+        logp = m.log_probabilities(queries, targets)
+        ad.reduce_sum(logp * weights).backward()
+        return (m.scores(emb).data, logp.data,
+                {n: p.grad.copy() for n, p in m.store.params.items() if p.grad is not None})
+
+    got = run()
+    monkeypatch.setattr(m, "scores", lambda emb: clipped_l1_scores(m, emb))
+    want = run()
+    for g_values, w_values in zip(got[:2], want[:2]):
+        assert np.max(np.abs(g_values - w_values)) <= 1e-12 * np.max(np.abs(w_values))
+    assert got[2].keys() == want[2].keys()
+    largest = max(np.max(np.abs(w)) for w in want[2].values())
+    for name, w in want[2].items():
+        assert np.max(np.abs(got[2][name] - w)) <= 1e-12 * largest, name
 
 
 # -- probabilities ------------------------------------------------------------------

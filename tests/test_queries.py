@@ -55,6 +55,43 @@ def test_dnf_union_free_is_identity(toy_graph):
     assert to_dnf(q).disjuncts == (q,)
 
 
+def test_dnf_returns_union_free_templates_as_is(toy_graph):
+    templates = ["(p LiveIn (a Hinton))",
+                 "(p WinAward (p Collaborate (a LeCun)))",
+                 "(i (p WinAward (a Hinton)) (p WinAward (a LeCun)))",
+                 "(i (p WinAward (a Hinton)) (p WinAward (a LeCun)) (p WinAward (a Bengio)))",
+                 "(i (p WinAward (p Collaborate (a LeCun))) (p WinAward (a Bengio)))",
+                 "(p LiveIn (i (p Collaborate (a LeCun)) (rp Collaborate (a Hinton))))"]
+    for text in templates:
+        q = parse_query(text, toy_graph)
+        assert classify_type(q) in ("1p", "2p", "2i", "3i", "pi", "ip")
+        [d] = to_dnf(q).disjuncts
+        assert d is q
+
+
+def _rebuilding_dnf(q):
+    """``to_dnf`` as it was before it returned union-free subtrees as they are."""
+    if isinstance(q, Anchor):
+        return [q]
+    if isinstance(q, Projection):
+        return [Projection(q.rel, q.direction, d) for d in _rebuilding_dnf(q.child)]
+    if isinstance(q, Union):
+        return [d for c in q.children for d in _rebuilding_dnf(c)]
+    combos = [()]
+    for c in q.children:
+        combos = [prefix + (d,) for prefix in combos for d in _rebuilding_dnf(c)]
+    return [Intersection(combo) for combo in combos]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_dnf_matches_rebuilding_reference(seed):
+    g = random_graph(seed, n_vertices=25, n_triples=80)
+    rng = random.Random(2000 + seed)
+    for _ in range(10):
+        q = random_query(g, rng, max_depth=4)
+        assert to_dnf(q).disjuncts == tuple(_rebuilding_dnf(q))
+
+
 def test_dnf_distributes_projection_over_union(toy_graph):
     q = parse_query("(p LiveIn (u (a Hinton) (a LeCun)))", toy_graph)
     got = [serialize(d, toy_graph) for d in to_dnf(q).disjuncts]
