@@ -271,33 +271,6 @@ def reduce_max(a, axis=0) -> Tensor:
     return _reduce_extreme(a, axis, np.argmax, np.max)
 
 
-def maximum(a, b) -> Tensor:
-    """Elementwise max; on ties the gradient goes to the first operand."""
-    a, b = _both(a, b)
-    out = Tensor(np.maximum(a.data, b.data), (a, b))
-
-    def back(g):
-        take_a = a.data >= b.data
-        a._accumulate(_unbroadcast(g * take_a, a.shape))
-        b._accumulate(_unbroadcast(g * ~take_a, b.shape))
-
-    out._backward = back
-    return out
-
-
-def minimum(a, b) -> Tensor:
-    a, b = _both(a, b)
-    out = Tensor(np.minimum(a.data, b.data), (a, b))
-
-    def back(g):
-        take_a = a.data <= b.data
-        a._accumulate(_unbroadcast(g * take_a, a.shape))
-        b._accumulate(_unbroadcast(g * ~take_a, b.shape))
-
-    out._backward = back
-    return out
-
-
 # -- elementwise nonlinearities -------------------------------------------
 
 
@@ -320,7 +293,9 @@ def relu(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
+    # exp of -|x| cannot overflow; x < 0 takes the form e / (1 + e)
+    e = np.exp(-np.abs(a.data))
+    s = np.where(a.data >= 0, 1.0, e) / (1.0 + e)
     return _unary(a, s, lambda: s * (1.0 - s))
 
 
@@ -328,23 +303,6 @@ def tanh(a) -> Tensor:
     a = tensor(a)
     t = np.tanh(a.data)
     return _unary(a, t, lambda: 1.0 - t * t)
-
-
-def exp(a) -> Tensor:
-    a = tensor(a)
-    e = np.exp(a.data)
-    return _unary(a, e, lambda: e)
-
-
-def sqrt(a) -> Tensor:
-    a = tensor(a)
-    r = np.sqrt(a.data)
-    return _unary(a, r, lambda: np.where(r > 0, 0.5 / np.where(r > 0, r, 1.0), 0.0))
-
-
-def absolute(a) -> Tensor:
-    a = tensor(a)
-    return _unary(a, np.abs(a.data), lambda: np.sign(a.data))
 
 
 # -- fused distances, softmax, attention ---------------------------------

@@ -11,7 +11,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graph import ATTR, GraphSplit, KnowledgeGraph, Triple
+import numpy as np
+
+from .graph import EdgeSet, GraphSplit, KnowledgeGraph, Triple
 from .queries import (QUERY_TYPES, Anchor, Intersection, Projection, QueryNode,
                       Union, classify_type, parse_query, serialize)
 from .symbolic import RELAXED, TaggedAnswerSet, evaluate, evaluate_tagged
@@ -34,34 +36,37 @@ class BenchmarkQuery:
 
 def sample_private_edges(g: KnowledgeGraph, n: int, seed: int) -> frozenset[Triple]:
     """Uniform seeded sample of n attribute triples."""
-    attrs = sorted(g.attribute_triples())
+    attrs = g.attribute_triples()
     if n > len(attrs):
         raise BenchmarkError("requested %d private edges but only %d attribute triples exist"
                              % (n, len(attrs)))
-    rng = random.Random(seed)
-    return frozenset(rng.sample(attrs, n))
+    # the draws depend only on len(attrs) and n; rows are in sorted triple order
+    picked = attrs.rows()[random.Random(seed).sample(range(len(attrs)), n)]
+    return frozenset(map(Triple._make, picked.tolist()))
 
 
-def split_edges(g: KnowledgeGraph, private: frozenset[Triple], seed: int) -> GraphSplit:
+def split_edges(g: KnowledgeGraph, private, seed: int) -> GraphSplit:
     """8:1:1 split of the non-private edges into cumulative graphs.
 
     Private edges appear only in the test graph, flagged private."""
-    for t in private:
-        if t not in g.triples or g.relations[t.rel].kind != ATTR:
-            raise BenchmarkError("private set must be attribute triples of the graph: %r" % (t,))
-    remaining = sorted(g.triples - private)
-    rng = random.Random(seed)
-    rng.shuffle(remaining)
+    private = g.edge_set(private)
+    attrs = g.attribute_triples()
+    if not private <= attrs:
+        raise BenchmarkError("private set must be attribute triples of the graph: %r"
+                             % (next(iter(private - attrs)),))
+    remaining = (g.triples - private).keys  # in sorted triple order
     n = len(remaining)
+    # shuffle draws depend only on n, so this permutes as shuffling the
+    # sorted triples themselves would
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    shuffled = remaining[order]
     n_train = round(n * 0.8)
     n_valid = round(n * 0.1)
-    train_edges = frozenset(remaining[:n_train])
-    valid_edges = train_edges | frozenset(remaining[n_train:n_train + n_valid])
-    test_edges = frozenset(remaining) | private
     return GraphSplit(
-        train=g.with_triples(train_edges),
-        valid=g.with_triples(valid_edges),
-        test=g.with_triples(test_edges, private=private),
+        train=g.with_triples(EdgeSet(np.sort(shuffled[:n_train]), g.triples.space)),
+        valid=g.with_triples(EdgeSet(np.sort(shuffled[:n_train + n_valid]), g.triples.space)),
+        test=g.with_triples(g.triples, private=private),
         private=private,
     )
 

@@ -1,18 +1,18 @@
-"""In-memory knowledge graph: interned vertices/relations, indexed triples,
-and a per-triple private flag on attribute edges.
+"""In-memory knowledge graph: interned vertices/relations, one array edge
+store, and a per-triple private flag on attribute edges.
 
 Graphs are immutable after construction; ``mark_private`` and ``public_view``
-return new views sharing the vertex and relation tables.
-
-Each graph keeps its triples once as an ``(E, 3)`` int64 array. Neighbour
-lookups go through CSR indices (``indptr``/``targets`` over the key
-``src * R + rel``), built lazily per direction and view; each lookup's
-frozenset is memoised on the graph.
+return new views sharing the vertex and relation tables. A graph's
+``triples``, ``private`` and ``attribute_triples()`` are ``EdgeSet``s over
+sorted int64 keys. Neighbour lookups go through CSR indices
+(``indptr``/``targets`` over the key ``src * R + rel``), built lazily per
+direction and view; each lookup's frozenset is memoised on the graph.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Set
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -39,45 +39,114 @@ class Triple(NamedTuple):
     tail: int
 
 
-def _edge_array(triples) -> np.ndarray:
-    return np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64,
-                       count=3 * len(triples)).reshape(-1, 3)
+def _unique(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values; several times faster than ``np.unique`` on int64."""
+    keys = np.sort(keys, axis=None)
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
+
+
+def _on_keys(array_op, fallback):
+    """``array_op`` between two views of one key space, else the ``Set`` mixin."""
+    def op(self, other):
+        if isinstance(other, EdgeSet) and other.space == self.space:
+            return array_op(self, other)
+        return fallback(self, other)
+    return op
+
+
+class EdgeSet(Set):
+    """Read-only set of ``Triple``s stored as the sorted, distinct int64 keys
+    ``(head * R + rel) * V + tail`` of the key space ``space = (R, V)``.
+    Iteration decodes the keys in ``(head, rel, tail)`` order."""
+
+    __slots__ = ("keys", "space")
+
+    def __init__(self, keys: np.ndarray, space: tuple[int, int]):
+        keys.flags.writeable = False
+        self.keys, self.space = keys, space
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __contains__(self, triple) -> bool:
+        n_rel, n_vert = self.space
+        try:
+            h, r, t = triple
+            if not (0 <= h < n_vert and 0 <= r < n_rel and 0 <= t < n_vert):
+                return False
+        except (TypeError, ValueError):
+            return False
+        k = (h * n_rel + r) * n_vert + t
+        i = self.keys.searchsorted(k)
+        return i < len(self.keys) and self.keys[i] == k
+
+    def __iter__(self):
+        return map(Triple._make, self.rows().tolist())
+
+    def rows(self) -> np.ndarray:
+        """The ``(E, 3)`` int64 rows ``(head, rel, tail)``, in key order."""
+        n_rel, n_vert = self.space
+        head, rest = np.divmod(self.keys, max(n_rel * n_vert, 1))
+        return np.stack((head, *np.divmod(rest, max(n_vert, 1))), axis=1)
+
+    _from_iterable = frozenset  # what the Set mixins build their results with
+
+    __and__ = _on_keys(lambda a, b: EdgeSet(a.keys[np.isin(a.keys, b.keys, assume_unique=True)],
+                                            a.space), Set.__and__)
+    __sub__ = _on_keys(lambda a, b: EdgeSet(a.keys[np.isin(a.keys, b.keys, assume_unique=True,
+                                                           invert=True)], a.space), Set.__sub__)
+    __or__ = _on_keys(lambda a, b: EdgeSet(_unique(np.concatenate((a.keys, b.keys))), a.space),
+                      Set.__or__)
+    __le__ = _on_keys(lambda a, b: bool(np.isin(a.keys, b.keys, assume_unique=True).all()),
+                      Set.__le__)
+    __eq__ = _on_keys(lambda a, b: np.array_equal(a.keys, b.keys), Set.__eq__)
+    __hash__ = Set._hash  # equal to the hash of a frozenset of the same triples
 
 
 class KnowledgeGraph:
-    def __init__(self, vertex_names, relations, triples, private=frozenset(), *, _edges=None):
-        """``_edges`` is the edge array of a graph with the same triples and
-        tables, already checked; views pass it to skip rebuilding."""
+    def __init__(self, vertex_names, relations, triples, private=()):
+        """``triples`` and ``private``: anything ``edge_set`` takes."""
         self.vertex_names: tuple[str, ...] = tuple(vertex_names)
         self.relations: tuple[Relation, ...] = tuple(relations)
-        self.triples: frozenset[Triple] = frozenset(triples)
-        self.private: frozenset[Triple] = frozenset(private)
         self._vid = {name: i for i, name in enumerate(self.vertex_names)}
         self._rid = {r.name: r.id for r in self.relations}
         if len(self._vid) != len(self.vertex_names):
             raise GraphError("duplicate vertex name")
         if len(self._rid) != len(self.relations):
             raise GraphError("duplicate relation name")
-        if _edges is None:
-            _edges = _edge_array(self.triples)
-            ends = _edges[:, ::2]
-            bad = ((ends < 0) | (ends >= len(self.vertex_names))).any(axis=1)
-            if bad.any():
-                raise GraphError("triple endpoint outside vertex table: %r"
-                                 % (Triple(*_edges[bad.argmax()].tolist()),))
-            # the index keys ``src * R + rel`` collide for a relation id outside [0, R)
-            bad = (_edges[:, 1] < 0) | (_edges[:, 1] >= len(self.relations))
-            if bad.any():
-                raise GraphError("triple relation outside relation table: %r"
-                                 % (Triple(*_edges[bad.argmax()].tolist()),))
-        self._edges = _edges  # one row (head, rel, tail) per triple
+        self._space = (len(self.relations), len(self.vertex_names))
+        self._is_attr = np.array([r.kind == ATTR for r in self.relations], dtype=bool)
+        self.triples: EdgeSet = self.edge_set(triples)
+        self.private: EdgeSet = self.edge_set(private)
         if not self.private <= self.triples:
-            raise GraphError("private triple not in graph: %r" % (min(self.private - self.triples),))
-        for t in self.private:
-            if self.relations[t.rel].kind != ATTR:
-                raise GraphError("private flag on non-attribute triple: %r" % (t,))
+            raise GraphError("private triple not in graph (cannot mark an absent triple "
+                             "private): %r" % (next(iter(self.private - self.triples)),))
+        if self.private and not self.private <= (attrs := self.attribute_triples()):
+            raise GraphError("private flag on non-attribute triple (privacy applies only to "
+                             "attribute triples): %r" % (next(iter(self.private - attrs)),))
         self._csr: dict[tuple[str, bool], tuple[np.ndarray, np.ndarray]] = {}
         self._lookups: dict[tuple, frozenset[int]] = {}
+
+    def edge_set(self, triples) -> EdgeSet:
+        """``triples`` (an ``EdgeSet``, an ``(n, 3)`` array or an iterable of triples)
+        in this graph's key space; an id outside its table raises ``GraphError``."""
+        if isinstance(triples, EdgeSet):
+            if triples.space == self._space:
+                return triples
+            rows = triples.rows()
+        elif isinstance(triples, np.ndarray):
+            rows = triples.astype(np.int64, copy=False).reshape(-1, 3)
+        else:
+            rows = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64).reshape(-1, 3)
+        n_rel, n_vert = self._space
+        # keys of an id outside its table would collide with other triples'
+        for cols, size, what in (([0, 2], n_vert, "endpoint outside vertex table"),
+                                 ([1], n_rel, "relation outside relation table")):
+            bad = ((rows[:, cols] < 0) | (rows[:, cols] >= size)).any(axis=1)
+            if bad.any():
+                raise GraphError("triple %s: %r" % (what, Triple(*rows[bad.argmax()].tolist())))
+        return EdgeSet(_unique((rows[:, 0] * n_rel + rows[:, 1]) * n_vert + rows[:, 2]),
+                       self._space)
 
     # -- lookups -----------------------------------------------------------
 
@@ -107,8 +176,7 @@ class KnowledgeGraph:
 
         ``view="public"`` excludes private triples.
         """
-        public = view == "public" and bool(self.private)
-        key = (v, r, direction, public)
+        key = (v, r, direction, view)
         result = self._lookups.get(key)
         if result is not None:
             return result
@@ -118,28 +186,20 @@ class KnowledgeGraph:
             raise GraphError("unknown relation id %d" % r)
         if direction not in ("forward", "backward"):
             raise GraphError("direction must be forward or backward, got %r" % direction)
-        indptr, targets = self._index(direction, public)
+        indptr, targets = self._index(direction, view == "public" and bool(self.private))
         k = v * len(self.relations) + r
         result = self._lookups[key] = frozenset(targets[indptr[k]:indptr[k + 1]].tolist())
         return result
-
-    def _public_mask(self) -> np.ndarray:
-        """Rows of the edge array that are not private."""
-        def encode(edges):
-            return (edges[:, 0] * len(self.relations) + edges[:, 1]) * len(self.vertex_names) \
-                + edges[:, 2]
-        return ~np.isin(encode(self._edges), encode(_edge_array(self.private)))
 
     def _index(self, direction: str, public: bool) -> tuple[np.ndarray, np.ndarray]:
         """CSR over key ``src * R + rel``: the targets of key k are
         ``targets[indptr[k]:indptr[k + 1]]``."""
         csr = self._csr.get((direction, public))
         if csr is None:
-            edges = self._edges[self._public_mask()] if public else self._edges
-            src, dst = (edges[:, 0], edges[:, 2]) if direction == "forward" \
-                else (edges[:, 2], edges[:, 0])
+            h, r, t = (self.triples - self.private if public else self.triples).rows().T
+            src, dst = (h, t) if direction == "forward" else (t, h)
             n_keys = len(self.vertex_names) * len(self.relations)
-            keys = src * len(self.relations) + edges[:, 1]
+            keys = src * len(self.relations) + r
             indptr = np.zeros(n_keys + 1, dtype=np.int64)
             np.cumsum(np.bincount(keys, minlength=n_keys), out=indptr[1:])
             csr = self._csr[direction, public] = (indptr, dst[np.argsort(keys, kind="stable")])
@@ -147,29 +207,23 @@ class KnowledgeGraph:
 
     def incident_vertices(self) -> list[int]:
         """Sorted ids of the vertices that have at least one triple."""
-        return np.unique(self._edges[:, ::2]).tolist()
+        return _unique(self.triples.rows()[:, ::2]).tolist()
 
-    def attribute_triples(self) -> frozenset[Triple]:
-        return frozenset(t for t in self.triples if self.relations[t.rel].kind == ATTR)
+    def attribute_triples(self) -> EdgeSet:
+        n_rel, n_vert = self._space
+        keys = self.triples.keys
+        return EdgeSet(keys[self._is_attr[keys // n_vert % n_rel]], self._space)
 
     # -- derived views -----------------------------------------------------
 
     def mark_private(self, triples: Iterable[Triple]) -> "KnowledgeGraph":
-        marked = frozenset(triples)
-        if not marked <= self.triples:
-            raise GraphError("cannot mark absent triple private: %r" % (min(marked - self.triples),))
-        for t in marked:
-            if self.relations[t.rel].kind != ATTR:
-                raise GraphError("privacy applies only to attribute triples: %r" % (t,))
-        return KnowledgeGraph(self.vertex_names, self.relations, self.triples, marked,
-                              _edges=self._edges)
+        return KnowledgeGraph(self.vertex_names, self.relations, self.triples, triples)
 
     def public_view(self) -> "KnowledgeGraph":
         """Drop private triples; vertex table unchanged (vertices may isolate)."""
-        return KnowledgeGraph(self.vertex_names, self.relations, self.triples - self.private,
-                              _edges=self._edges[self._public_mask()])
+        return KnowledgeGraph(self.vertex_names, self.relations, self.triples - self.private)
 
-    def with_triples(self, triples: Iterable[Triple], private=frozenset()) -> "KnowledgeGraph":
+    def with_triples(self, triples: Iterable[Triple], private=()) -> "KnowledgeGraph":
         """New graph over the same vertex/relation tables with another edge set."""
         return KnowledgeGraph(self.vertex_names, self.relations, triples, private)
 
@@ -182,71 +236,84 @@ class GraphSplit:
     train: KnowledgeGraph
     valid: KnowledgeGraph
     test: KnowledgeGraph
-    private: frozenset[Triple]
+    private: EdgeSet
 
 
 # -- flat-file ingestion ----------------------------------------------------
 
 
-def _read_tsv(path, n_fields, what):
-    out = []
+def _read_tsv(path, n_fields, what, linenos=False):
+    """The tab-separated fields of the data lines (not blank, not '#' comments),
+    flattened: data line i holds ``fields[i * n_fields:(i + 1) * n_fields]``.
+    With ``linenos``, also the file line number of each data line."""
     with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != n_fields:
-                raise GraphError("%s: malformed line %d (expected %d tab-separated fields): %r"
-                                 % (what, lineno, n_fields, line))
-            out.append((lineno, fields))
-    return out
+        lines = f.read().split("\n")
+    data = [line for line in lines if line and line[0] != "#"]
+    if set(map(str.count, data, itertools.repeat("\t"))) - {n_fields - 1}:
+        lineno, line = next((i, line) for i, line in enumerate(lines, 1)
+                            if line and line[0] != "#" and line.count("\t") != n_fields - 1)
+        raise GraphError("%s: malformed line %d (expected %d tab-separated fields): %r"
+                         % (what, lineno, n_fields, line))
+    fields = "\t".join(data).split("\t") if data else []
+    if not linenos:
+        return fields
+    return fields, [i for i, line in enumerate(lines, 1) if line and line[0] != "#"]
 
 
 def load_schema(path) -> dict[str, str]:
     """Schema file: ``relation<TAB>{rel|attr}`` per line."""
-    schema = {}
-    for lineno, (name, kind) in _read_tsv(path, 2, "schema"):
+    fields, linenos = _read_tsv(path, 2, "schema", linenos=True)
+    for lineno, kind in zip(linenos, fields[1::2]):
         if kind not in (REL, ATTR):
             raise GraphError("schema line %d: kind must be rel or attr, got %r" % (lineno, kind))
-        schema[name] = kind
-    return schema
+    return dict(zip(fields[0::2], fields[1::2]))
+
+
+def _from_fields(fields: list[str], schema: dict[str, str]) -> KnowledgeGraph:
+    """Graph of the name triples ``fields[3 * i:3 * i + 3]``. Ids are assigned
+    in first-appearance order, heads before tails within a triple."""
+    rels = fields[1::3]
+    rid = dict(zip(dict.fromkeys(rels), itertools.count()))
+    missing = [name for name in rid if name not in schema]
+    if missing:
+        raise GraphError("relation %r missing from schema" % missing[0])
+    ends = fields[0::3] + fields[2::3]
+    ends[0::2], ends[1::2] = fields[0::3], fields[2::3]
+    vid = dict(zip(dict.fromkeys(ends), itertools.count()))
+    ids = np.fromiter(map(vid.__getitem__, ends), dtype=np.int64, count=len(ends))
+    r = np.fromiter(map(rid.__getitem__, rels), dtype=np.int64, count=len(rels))
+    relations = [Relation(i, name, schema[name]) for name, i in rid.items()]
+    return KnowledgeGraph(list(vid), relations, np.stack((ids[0::2], r, ids[1::2]), axis=1))
 
 
 def from_named_triples(named_triples, schema: dict[str, str]) -> KnowledgeGraph:
     """Build a graph from (head, relation, tail) name triples.
 
     Ids are assigned in first-appearance order, so loading is deterministic."""
-    vid: dict[str, int] = {}
-    rid: dict[str, int] = {}
-    triples = set()
-    for h, r, t in named_triples:
-        if r not in rid:
-            if r not in schema:
-                raise GraphError("relation %r missing from schema" % r)
-            rid[r] = len(rid)
-        triples.add(Triple(vid.setdefault(h, len(vid)), rid[r], vid.setdefault(t, len(vid))))
-    relations = [Relation(i, name, schema[name]) for name, i in rid.items()]
-    return KnowledgeGraph(list(vid), relations, triples)
+    return _from_fields([x for h, r, t in named_triples for x in (h, r, t)], schema)
 
 
 def load_triples(path, schema: dict[str, str]) -> KnowledgeGraph:
     """Load a TSV triple file (``head<TAB>relation<TAB>tail``, '#' comments).
 
     Duplicate lines collapse to one triple (set semantics)."""
-    rows = _read_tsv(path, 3, "triples")
-    return from_named_triples([tuple(fields) for _, fields in rows], schema)
+    return _from_fields(_read_tsv(path, 3, "triples"), schema)
 
 
-def load_triple_set(path, g: KnowledgeGraph) -> frozenset[Triple]:
+def load_triple_set(path, g: KnowledgeGraph) -> EdgeSet:
     """Read a TSV triple file and resolve against an existing graph."""
-    out = set()
-    for lineno, (h, r, t) in _read_tsv(path, 3, "triples"):
-        out.add(Triple(g.vertex_id(h), g.relation_id(r), g.vertex_id(t)))
-    return frozenset(out)
+    fields = _read_tsv(path, 3, "triples")
+    lookups = itertools.cycle((g.vertex_id, g.relation_id, g.vertex_id))
+    return g.edge_set(np.fromiter((f(x) for f, x in zip(lookups, fields)), dtype=np.int64,
+                                  count=len(fields)))
 
 
-def write_triples(path, g: KnowledgeGraph, triples: Iterable[Triple]) -> None:
+def write_triples(path, g: KnowledgeGraph, triples) -> None:
+    """One ``head<TAB>relation<TAB>tail`` line per distinct triple, in key
+    order; ``triples``: anything ``edge_set`` takes. The lines are built over
+    object arrays of names, with no Python container per row to track."""
+    names = np.array(g.vertex_names, dtype=object)
+    rels = np.array([r.name for r in g.relations], dtype=object)
+    h, r, t = g.edge_set(triples).rows().T
     with open(path, "w", encoding="utf-8") as f:
-        for h, r, t in sorted(triples):
-            f.write("%s\t%s\t%s\n" % (g.vertex_name(h), g.relation_name(r), g.vertex_name(t)))
+        f.write("".join(names[h] + "\t" + rels[r] + "\t" + names[t] + "\n"))

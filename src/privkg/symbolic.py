@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import KnowledgeGraph, Triple
+from .graph import KnowledgeGraph
 from .queries import Anchor, Intersection, Projection, QueryNode, Union
 
 RELAXED = "relaxed"
@@ -175,7 +175,7 @@ def brute_force_oracle(g: KnowledgeGraph, q: QueryNode) -> frozenset[int]:
     disjuncts = _compile(q, (VAR, 0), fresh)
     nvars = fresh[0]
     vertices = range(g.num_vertices())
-    triples = g.triples
+    triples = set(map(tuple, g.triples.rows().tolist()))
     answers: set[int] = set()
 
     def term_value(term, assignment):
@@ -209,7 +209,7 @@ def brute_force_oracle(g: KnowledgeGraph, q: QueryNode) -> frozenset[int]:
             level = atom_level(atom)
             if level < 0:
                 h, r, t = atom
-                if Triple(h[1], r, t[1]) not in triples:
+                if (h[1], r, t[1]) not in triples:
                     ground_ok = False
                     break
             else:
@@ -219,7 +219,7 @@ def brute_force_oracle(g: KnowledgeGraph, q: QueryNode) -> frozenset[int]:
 
         def check_level(i, assignment):
             for h, r, t in buckets.get(i, ()):
-                if Triple(term_value(h, assignment), r, term_value(t, assignment)) not in triples:
+                if (term_value(h, assignment), r, term_value(t, assignment)) not in triples:
                     return False
             return True
 

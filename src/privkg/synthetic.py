@@ -46,21 +46,3 @@ def make_synthetic_kg(n_entities: int = 240, n_communities: int = 6,
 
     return from_named_triples(triples, schema)
 
-
-def make_random_kg(n_vertices: int, n_relations: int, n_attributes: int,
-                   n_triples: int, seed: int) -> KnowledgeGraph:
-    """Unstructured random graph for oracle-style testing."""
-    rng = random.Random(seed)
-    names = ["n%d" % i for i in range(n_vertices)]
-    schema = {}
-    rel_names = []
-    for r in range(n_relations):
-        schema["r%d" % r] = REL
-        rel_names.append("r%d" % r)
-    for a in range(n_attributes):
-        schema["a%d" % a] = ATTR
-        rel_names.append("a%d" % a)
-    triples = set()
-    while len(triples) < n_triples:
-        triples.add((rng.choice(names), rng.choice(rel_names), rng.choice(names)))
-    return from_named_triples(sorted(triples), schema)

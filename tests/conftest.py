@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from privkg.graph import Triple, from_named_triples
+from privkg.graph import ATTR, REL, Triple, from_named_triples
 from privkg.queries import Anchor, Intersection, Projection, Union
-from privkg.synthetic import make_random_kg
 
 TOY_SCHEMA = {"Collaborate": "rel", "WinAward": "rel", "LiveIn": "attr", "BornIn": "attr"}
 TOY_TRIPLES = [
@@ -28,7 +27,21 @@ def toy_graph():
 
 
 def random_graph(seed, n_vertices=40, n_relations=4, n_attributes=2, n_triples=120):
-    return make_random_kg(n_vertices, n_relations, n_attributes, n_triples, seed)
+    """Unstructured random graph for oracle-style testing."""
+    rng = random.Random(seed)
+    names = ["n%d" % i for i in range(n_vertices)]
+    schema = {}
+    rel_names = []
+    for r in range(n_relations):
+        schema["r%d" % r] = REL
+        rel_names.append("r%d" % r)
+    for a in range(n_attributes):
+        schema["a%d" % a] = ATTR
+        rel_names.append("a%d" % a)
+    triples = set()
+    while len(triples) < n_triples:
+        triples.add((rng.choice(names), rng.choice(rel_names), rng.choice(names)))
+    return from_named_triples(sorted(triples), schema)
 
 
 def random_query(g, rng, max_depth=3):

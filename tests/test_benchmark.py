@@ -62,6 +62,8 @@ def test_split_cumulative_containment(seed):
     assert not split.private & split.train.triples
     assert not split.private & split.valid.triples
     assert split.test.private == split.private
+    # the split stays hashable: its private set hashes like the frozenset it equals
+    assert hash(split.private) == hash(frozenset(split.private)) and hash(split) == hash(split)
 
 
 def test_split_rejects_non_attribute_private():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -143,3 +144,51 @@ def test_eval_noise_requires_sigma(tmp_path):
               "--private", str(tmp_path / "nope.tsv"), "--benchmark", ".",
               "--checkpoint", "x", "--protection", "noise",
               "--seed", "0", "--out", str(tmp_path / "o")])
+
+
+# sha256 pins of every artifact of the CLI benchmark build on the synthetic
+# graph: a change to loading, writing, privatizing, splitting or sampling
+# that moves one byte changes them
+
+PIPELINE_DIGESTS = {
+    "ingest/graph-stats.json": "fc639048761ceb2b78e5a71d6dafc4af3c592d6a4612f7b4798537d65a434d00",
+    "priv/private.tsv": "55a9206324f07234920837232a03492d3f9d324b72588e86df66c57df6672446",
+    "split/train.tsv": "74febc03fba333835bbdba1ae28f801a1f1466bc6345a155abb9b1da49af9ca2",
+    "split/valid.tsv": "3414712ca95309b4438a15f7a97a1086e787fd56c8cc2e28020f03a78010720b",
+    "split/test.tsv": "6247b0f8be974a6fed45a2125d56d29d73033cf9fa139a7bf04da4aad91606a5",
+    "queries/queries-1p.tsv": "b74ac85beced10d6fcee644698b92bdca4e948adb656af995f5c67fcd3eea49f",
+    "queries/queries-2i.tsv": "c368fae05a46a040b2c9e5e6ce5418589cd9c1ced1f5cd01eebfed1ae74c10cc",
+    "queries/queries-2p.tsv": "ed0c8bf98e700fabfb73491279b27aba5eaa5b9cf745676aa4e82fb6be537ef5",
+    "queries/queries-2u.tsv": "8e4d7b6e6f8cd42a69d0d4873e75f6cb62850bea5518517dc80257cd9f030fa6",
+    "queries/queries-3i.tsv": "efcfb2102c207400a733b68c27e1c4090382888047068b290b075e731d708a58",
+    "queries/queries-ip.tsv": "355a14bceab8c57b322e5ecedfd7c0d4ba126dd5b6de9e04b785aeb67f8b1a75",
+    "queries/queries-pi.tsv": "62b3242811be72d771ee0a139f3497682a5a9bbf1af5264df4ea58a57ec7665a",
+    "queries/queries-up.tsv": "6f5b2678e164a380890e7353471ab4f66ba16290230cedbebd920b44a81cc420",
+}
+
+
+def _run_pipeline(tmp_path, graph, schema, name):
+    out = tmp_path / name
+    private = str(out / "priv" / "private.tsv")
+    base = ["--graph", graph, "--schema", schema]
+    for argv in (["privatize"] + base + ["--n-private", "6", "--seed", "3",
+                                         "--out", str(out / "priv")],
+                 ["ingest"] + base + ["--private", private, "--out", str(out / "ingest")],
+                 ["split"] + base + ["--private", private, "--seed", "9",
+                                     "--out", str(out / "split")],
+                 ["sample-queries"] + base + ["--private", private, "--qtype", "all",
+                                              "--n", "4", "--seed", "2",
+                                              "--out", str(out / "queries")]):
+        assert main(argv) == 0
+    files = ["ingest/graph-stats.json", "priv/private.tsv", "split/train.tsv",
+             "split/valid.tsv", "split/test.tsv"]
+    files += sorted("queries/" + f for f in os.listdir(out / "queries")
+                    if f.startswith("queries-"))
+    return {f: (out / f).read_bytes() for f in files}
+
+
+def test_pipeline_artifacts_pinned_and_repeatable(tmp_path):
+    graph, schema = _write_synthetic(tmp_path)
+    first = _run_pipeline(tmp_path, graph, schema, "a")
+    assert _run_pipeline(tmp_path, graph, schema, "b") == first
+    assert {f: hashlib.sha256(b).hexdigest() for f, b in first.items()} == PIPELINE_DIGESTS

@@ -10,6 +10,7 @@ from privkg.encoders import (BoxEmbedding, EncoderError, ParticleEmbedding,
 from privkg.graph import from_named_triples
 from privkg.queries import Anchor, Intersection, Projection, parse_query
 from privkg.training import total_loss
+from . import _ops as ops
 from .conftest import random_graph, random_query
 
 KINDS = ("gqe", "q2b", "q2p")
@@ -219,11 +220,11 @@ def difference_form_scores(m, emb):
     """GQE and Q2P scores as composed before ``ad.distances``: (B, nv, d) on the tape."""
     if m.kind == "gqe":
         diff = ad.subtract(m.ent, ad.reshape(emb.vec, (-1, 1, m.dim)))
-        return -ad.sqrt(ad.reduce_sum(diff * diff, axis=2))
+        return -ops.sqrt(ad.reduce_sum(diff * diff, axis=2))
     p = emb.particles
     diff = ad.subtract(ad.reshape(m.ent, (-1, 1, m.dim)),
                        ad.reshape(p, (p.shape[0], 1) + p.shape[1:]))
-    return -ad.reduce_min(ad.sqrt(ad.reduce_sum(diff * diff, axis=3)), axis=2)
+    return -ad.reduce_min(ops.sqrt(ad.reduce_sum(diff * diff, axis=3)), axis=2)
 
 
 @pytest.mark.parametrize("kind", ["gqe", "q2p"])
@@ -306,8 +307,8 @@ def clipped_l1_scores(m, emb):
     q_min = center - offset
     outside = ad.reduce_sum(ad.relu(ad.subtract(m.ent, q_max)) +
                             ad.relu(ad.subtract(q_min, m.ent)), axis=2)
-    clipped = ad.minimum(q_max, ad.maximum(q_min, m.ent))
-    inside = ad.reduce_sum(ad.absolute(ad.subtract(center, clipped)), axis=2)
+    clipped = ops.minimum(q_max, ops.maximum(q_min, m.ent))
+    inside = ad.reduce_sum(ops.absolute(ad.subtract(center, clipped)), axis=2)
     return -(outside + m.alpha * inside)
 
 

@@ -1,12 +1,17 @@
+import gc
+import itertools
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privkg.graph import (ATTR, REL, GraphError, KnowledgeGraph, Relation, Triple,
+from privkg.benchmark import sample_private_edges, split_edges
+from privkg.graph import (ATTR, REL, EdgeSet, GraphError, KnowledgeGraph, Relation, Triple,
                           from_named_triples, load_schema, load_triples, load_triple_set,
                           write_triples)
+from privkg.synthetic import make_synthetic_kg
 from .conftest import random_graph
 
 
@@ -67,6 +72,8 @@ def test_schema_file_roundtrip(tmp_path):
     assert load_schema(p) == {"r": REL, "a": ATTR}
     with pytest.raises(GraphError, match="kind"):
         load_schema(write(tmp_path / "bad.tsv", "r\tblah\n"))
+    with pytest.raises(GraphError, match="schema line 4: kind"):
+        load_schema(write(tmp_path / "bad.tsv", "r\trel\n# comment\n\na\tatr\n"))
 
 
 def test_mark_private_fig2(toy_graph):
@@ -215,3 +222,126 @@ def test_triple_file_roundtrip(tmp_path, toy_graph):
     path = tmp_path / "private.tsv"
     write_triples(path, toy_graph, toy_graph.private)
     assert load_triple_set(path, toy_graph) == toy_graph.private
+
+
+def test_malformed_line_number_counts_comments_and_blank_lines(tmp_path):
+    p = write(tmp_path / "g.tsv", "# header\n\nA\tr\tB\nA\tr\tB\tC\n")
+    with pytest.raises(GraphError, match="line 4"):
+        load_triples(p, {"r": REL})
+
+
+def test_first_missing_relation_is_reported(tmp_path):
+    p = write(tmp_path / "g.tsv", "A\tr\tB\nA\tzeta\tB\nA\talpha\tB\n")
+    with pytest.raises(GraphError, match="'zeta'"):
+        load_triples(p, {"r": REL})
+
+
+# -- EdgeSet against a frozenset-of-tuples reference ---------------------------
+
+
+@st.composite
+def graphs_with_rows(draw):
+    """A graph built from a row list that may repeat rows, plus a second row
+    list over the same tables; either may be empty, and so may the graph."""
+    n_vertices = draw(st.integers(0, 6))
+    kinds = draw(st.lists(st.sampled_from([REL, ATTR]), min_size=1, max_size=3))
+    row = st.tuples(st.integers(0, n_vertices - 1), st.integers(0, len(kinds) - 1),
+                    st.integers(0, n_vertices - 1))
+    rows, other = ([], []) if n_vertices == 0 else \
+        (draw(st.lists(row, max_size=25)), draw(st.lists(row, max_size=25)))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    g = KnowledgeGraph(["n%d é" % i for i in range(n_vertices)],
+                       [Relation(i, "r%d" % i, kind) for i, kind in enumerate(kinds)], rows)
+    return g, rows, other
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_rows())
+def test_edge_set_matches_frozenset_reference(case):
+    g, rows, other_rows = case
+    a, ref_a = g.triples, frozenset(rows)
+    b, ref_b = g.edge_set(other_rows), frozenset(other_rows)
+    assert len(a) == len(ref_a) and hash(a) == hash(ref_a)
+    assert list(a) == sorted(ref_a) and all(type(t) is Triple for t in a)
+    n, n_rel = g.num_vertices(), len(g.relations)
+    for t in itertools.product(range(-1, n + 1), range(-1, n_rel + 1), range(-1, n + 1)):
+        assert (t in a) == (t in ref_a)
+    assert "not a triple" not in a and (0, 0) not in a
+    for x, ref_x in ((a, ref_a), (b, ref_b)):
+        for y, ref_y in ((a, ref_a), (b, ref_b)):
+            for left, right in ((x, y), (x, ref_y), (ref_x, y)):
+                assert left & right == ref_x & ref_y
+                assert left - right == ref_x - ref_y
+                assert left | right == ref_x | ref_y
+                assert (left <= right) == (ref_x <= ref_y)
+                assert (left == right) == (ref_x == ref_y)
+            assert isinstance(x & y, EdgeSet) and isinstance(x - y, EdgeSet) \
+                and isinstance(x | y, EdgeSet)
+    assert g.attribute_triples() == {t for t in ref_a if g.relations[t[1]].kind == ATTR}
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs_with_rows(), st.randoms(use_true_random=False))
+def test_write_load_write_keeps_ids_and_bytes(tmp_path_factory, case, rnd):
+    g, rows, _ = case
+    d = tmp_path_factory.mktemp("roundtrip")
+    write_triples(d / "a.tsv", g, g.triples)
+    text = (d / "a.tsv").read_bytes()
+    name_rows = ["%s\t%s\t%s" % (g.vertex_name(h), g.relation_name(r), g.vertex_name(t))
+                 for h, r, t in sorted(set(rows))]
+    assert text == "".join(line + "\n" for line in name_rows).encode()
+    # resolved against the graph, the file gives back its ids and its bytes
+    assert load_triple_set(d / "a.tsv", g) == g.triples
+    write_triples(d / "c.tsv", g, load_triple_set(d / "a.tsv", g))
+    assert (d / "c.tsv").read_bytes() == text
+    # the same file with CRLF line ends, comments and blank lines loads alike
+    lines = list(name_rows)
+    for _ in range(rnd.randrange(4)):
+        lines.insert(rnd.randrange(len(lines) + 1), rnd.choice(["", "# note\tx", "#"]))
+    (d / "b.tsv").write_bytes("".join(line + "\r\n" for line in lines).encode())
+    schema = {r.name: r.kind for r in g.relations}
+    g1, g2 = load_triples(d / "a.tsv", schema), load_triples(d / "b.tsv", schema)
+    assert g2.vertex_names == g1.vertex_names and g2.relations == g1.relations
+    assert g2.triples == g1.triples
+    # ids follow first appearance, heads before tails
+    assert list(g1.vertex_names) == list(dict.fromkeys(
+        name for line in name_rows for name in line.split("\t")[::2]))
+    assert sorted("%s\t%s\t%s" % (g1.vertex_name(h), g1.relation_name(r), g1.vertex_name(t))
+                  for h, r, t in g1.triples) == sorted(name_rows)
+    write_triples(d / "c.tsv", g1, g1.triples)
+    write_triples(d / "d.tsv", g2, g2.triples)
+    assert (d / "c.tsv").read_bytes() == (d / "d.tsv").read_bytes()
+
+
+def test_write_triples_accepts_sets_arrays_and_iterables(tmp_path, toy_graph):
+    rows = sorted(toy_graph.triples)
+    outputs = []
+    for triples in (toy_graph.triples, frozenset(rows), np.array(rows[::-1]),
+                    iter(rows + rows)):
+        write_triples(tmp_path / "t.tsv", toy_graph, triples)
+        outputs.append((tmp_path / "t.tsv").read_bytes())
+    assert outputs[1:] == outputs[:1] * 3
+
+
+# -- garbage-collector footprint ------------------------------------------------
+
+
+def _tracked_objects_added(n_entities, n_communities):
+    gc.collect()
+    before = len(gc.get_objects())
+    g = make_synthetic_kg(n_entities, n_communities, 6, 3, 4, seed=7)
+    split = split_edges(g, sample_private_edges(g, n_entities // 2, 1), 1)
+    gc.collect()
+    added = len(gc.get_objects()) - before
+    assert split.test.triples == g.triples
+    return added, len(g.triples)
+
+
+def test_graph_and_split_gc_footprint_does_not_grow_with_edges():
+    # the edge store is arrays, which the collector does not track; one
+    # Python object per edge would put every edge on every full collection
+    _tracked_objects_added(400, 10)
+    small, small_edges = _tracked_objects_added(400, 10)
+    large, large_edges = _tracked_objects_added(4000, 104)
+    assert large_edges == 10 * small_edges
+    assert large <= small + 20 and small < 100
