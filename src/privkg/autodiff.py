@@ -459,6 +459,17 @@ def transpose(a) -> Tensor:
 # -- parameters and optimization ------------------------------------------
 
 
+CHECKPOINT_TAG = "# privkg-params v1"
+
+
+def read_checkpoint_header(f) -> str:
+    """The text after the format tag on the first line of an open checkpoint file."""
+    line = f.readline()
+    if not line.startswith(CHECKPOINT_TAG):
+        raise AutodiffError("unrecognized checkpoint header: %r" % line)
+    return line[len(CHECKPOINT_TAG):].strip()
+
+
 class ParameterStore:
     """Named parameters, their gradient buffers, and optimizer state."""
 
@@ -487,20 +498,18 @@ class ParameterStore:
 
     def save(self, path, header_extra: str = "") -> None:
         with open(path, "w", encoding="utf-8") as f:
-            f.write("# privkg-params v1 %s\n" % header_extra)
+            f.write("%s %s\n" % (CHECKPOINT_TAG, header_extra))
             for name in sorted(self.params):
                 p = self.params[name]
                 shape = "x".join(str(s) for s in p.data.shape) or "scalar"
                 values = ",".join("%.17g" % v for v in p.data.ravel())
                 f.write("%s\t%s\t%s\n" % (name, shape, values))
 
-    def load(self, path) -> str:
+    def load(self, path) -> None:
         """Replace all parameters from a file of exactly these names, shapes, finite values."""
         loaded = {}
         with open(path, encoding="utf-8") as f:
-            header = f.readline()
-            if not header.startswith("# privkg-params v1"):
-                raise AutodiffError("unrecognized checkpoint header: %r" % header)
+            read_checkpoint_header(f)
             for line in f:
                 name, _, rest = line.rstrip("\n").partition("\t")
                 if name not in self.params or name in loaded:
@@ -522,7 +531,6 @@ class ParameterStore:
             raise AutodiffError("checkpoint lacks parameter %r" % missing[0])
         for name, arr in loaded.items():
             self.params[name].data = arr
-        return header[len("# privkg-params v1"):].strip()
 
 
 class SGD:

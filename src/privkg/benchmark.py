@@ -67,7 +67,6 @@ def split_edges(g: KnowledgeGraph, private, seed: int) -> GraphSplit:
         train=g.with_triples(EdgeSet(np.sort(shuffled[:n_train]), g.triples.space)),
         valid=g.with_triples(EdgeSet(np.sort(shuffled[:n_train + n_valid]), g.triples.space)),
         test=g.with_triples(g.triples, private=private),
-        private=private,
     )
 
 

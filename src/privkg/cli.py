@@ -16,14 +16,13 @@ import sys
 
 from . import __version__
 from .benchmark import (read_benchmark, sample_private_edges, sample_queries,
-                        split_edges, stats, format_stats, training_subset,
-                        write_benchmark)
-from .encoders import load_encoder, make_encoder
-from .evaluation import EvalReport, Metrics, evaluate_model
+                        split_edges, stats, format_stats, write_benchmark)
+from .encoders import DEFAULT_DIM, DEFAULT_PARTICLES, ENCODERS, load_encoder, make_encoder
+from .evaluation import evaluate_model
 from .graph import (load_schema, load_triple_set, load_triples, write_triples)
 from .queries import QUERY_TYPES, parse_query
-from .symbolic import evaluate_tagged
-from .training import NoiseConfig, TrainConfig, train
+from .symbolic import RELAXED, STRICT, evaluate_tagged
+from .training import BOTH, REVERSE_ONLY, NoiseConfig, TrainConfig, train
 
 
 def _digest(path) -> str:
@@ -133,9 +132,8 @@ def _read_benchmark_dir(path, g):
 
 def cmd_train(args):
     g = _load_graph(args)
-    split = split_edges(g, g.private, args.seed)
     queries = _read_benchmark_dir(args.benchmark, g)
-    model = make_encoder(args.model, split.test, dim=args.dim, seed=args.seed,
+    model = make_encoder(args.model, g, dim=args.dim, seed=args.seed,
                          n_particles=args.particles)
     config = TrainConfig(beta=args.beta, lr=args.lr, epochs=args.epochs,
                          batch_size=args.batch_size, seed=args.seed,
@@ -157,9 +155,8 @@ def cmd_eval(args):
     if args.protection == "noise" and args.sigma is None:
         raise SystemExit("--sigma is required with --protection noise")
     g = _load_graph(args)
-    split = split_edges(g, g.private, args.seed)
     queries = _read_benchmark_dir(args.benchmark, g)
-    model = load_encoder(args.checkpoint, split.test)
+    model = load_encoder(args.checkpoint, g)
     noise = None
     if args.protection == "noise":
         noise = NoiseConfig(sigma=args.sigma, seed=args.seed)
@@ -188,28 +185,25 @@ def cmd_audit(args):
     return 0
 
 
-def _read_report_tsv(path) -> EvalReport:
-    report = EvalReport()
+def _read_report_tsv(path) -> list[list[str]]:
+    """The fields of every line of an eval report.tsv, header first."""
     with open(path, encoding="utf-8") as f:
-        header = f.readline()
-        for line in f:
-            fields = line.rstrip("\n").split("\t")
-            qtype, cls = fields[0], fields[1]
-            if qtype == "All":
-                continue
-            report.per_type[(qtype, cls)] = Metrics(
-                hr1=float(fields[2]), hr3=float(fields[3]), hr10=float(fields[4]),
-                mrr=float(fields[5]), count=int(fields[6]))
-    return report
+        return [line.rstrip("\n").split("\t") for line in f]
 
 
 def cmd_report(args):
-    report = _read_report_tsv(args.eval_report)
-    baseline = _read_report_tsv(args.baseline) if args.baseline else None
+    rows = _read_report_tsv(args.eval_report)
+    if args.baseline:
+        mrr = rows[0].index("MRR")
+        base = {tuple(r[:2]): float(r[mrr]) for r in _read_report_tsv(args.baseline)[1:]}
+        rows[0].append("MRR_vs_baseline")
+        for r in rows[1:]:
+            b = base.get(tuple(r[:2]), 0.0)
+            r.append("%.1f%%" % (100.0 * float(r[mrr]) / b) if b > 0 else "n/a")
     out = _ensure_out(args)
     path = os.path.join(out, "report-merged.tsv")
     with open(path, "w", encoding="utf-8") as f:
-        f.write(report.to_tsv(baseline))
+        f.write("".join("\t".join(r) + "\n" for r in rows))
     inputs = [args.eval_report] + ([args.baseline] if args.baseline else [])
     _write_manifest(out, "report", args, inputs, [path])
     return 0
@@ -223,10 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     def graph_flags(p, private_required=False):
         p.add_argument("--graph", required=True, help="triple TSV file")
         p.add_argument("--schema", required=True, help="relation-kind TSV file")
-        if private_required:
-            p.add_argument("--private", required=True, help="private-edge TSV file")
-        else:
-            p.add_argument("--private", help="private-edge TSV file")
+        p.add_argument("--private", required=private_required, help="private-edge TSV file")
 
     p = sub.add_parser("ingest", help="load and validate a graph")
     graph_flags(p)
@@ -251,22 +242,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qtype", default="all", choices=("all",) + QUERY_TYPES)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--mode", default="relaxed", choices=("relaxed", "strict"))
+    p.add_argument("--mode", default=RELAXED, choices=(RELAXED, STRICT))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_sample_queries)
 
     p = sub.add_parser("train", help="train an encoder")
     graph_flags(p, private_required=True)
     p.add_argument("--benchmark", required=True, help="directory of queries-*.tsv")
-    p.add_argument("--model", required=True, choices=("gqe", "q2b", "q2p"))
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--lr", type=float, default=0.005)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--particles", type=int, default=3)
-    p.add_argument("--privacy-direction", default="reverse-only",
-                   choices=("reverse-only", "both"))
+    p.add_argument("--model", required=True, choices=tuple(ENCODERS))
+    defaults = TrainConfig()
+    p.add_argument("--beta", type=float, default=defaults.beta)
+    p.add_argument("--lr", type=float, default=defaults.lr)
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    p.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    p.add_argument("--particles", type=int, default=DEFAULT_PARTICLES)
+    p.add_argument("--privacy-direction", default=defaults.privacy_direction,
+                   choices=(REVERSE_ONLY, BOTH))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -284,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="tag the answers of one query")
     graph_flags(p)
     p.add_argument("--query", required=True, help="query s-expression")
-    p.add_argument("--mode", default="relaxed", choices=("relaxed", "strict"))
+    p.add_argument("--mode", default=RELAXED, choices=(RELAXED, STRICT))
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("report", help="merge eval reports with baseline ratios")

@@ -115,7 +115,7 @@ class Encoder:
 
         Concatenated, their rows are the disjuncts in DNF order."""
         return [self._encode_group(list(run))
-                for _, run in itertools.groupby(to_dnf(q).disjuncts, key=_shape)]
+                for _, run in itertools.groupby(to_dnf(q), key=_shape)]
 
     def _encode_group(self, nodes):
         """Encode same-shaped union-free nodes; one primitive call per operator."""
@@ -149,7 +149,7 @@ class Encoder:
         picks = np.concatenate(targets)
         if ((picks < 0) | (picks >= nv)).any():
             raise EncoderError("target vertex id out of range")
-        dnfs = [to_dnf(q).disjuncts for q in queries]
+        dnfs = [to_dnf(q) for q in queries]
         flat = [d for ds in dnfs for d in ds]
         groups: dict = {}
         for i, d in enumerate(flat):
@@ -197,11 +197,7 @@ def _vocabulary_digests(graph: KnowledgeGraph) -> dict:
 
 def load_encoder(path, graph: KnowledgeGraph) -> "Encoder":
     with open(path, encoding="utf-8") as f:
-        header = f.readline()
-    manifest = json.loads(header[len("# privkg-params v1"):])
-    if manifest["n_vertices"] != graph.num_vertices() or \
-            manifest["n_relations"] != len(graph.relations):
-        raise EncoderError("checkpoint vocabulary does not match the graph")
+        manifest = json.loads(ad.read_checkpoint_header(f))
     for key, want in _vocabulary_digests(graph).items():
         if manifest.get(key) != want:
             raise EncoderError("checkpoint vocabulary does not match the graph: %s differs"

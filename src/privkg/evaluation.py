@@ -17,7 +17,10 @@ from .encoders import Encoder
 from .queries import QUERY_TYPES
 from .training import NoiseConfig, noisy_scores_all
 
-HR_CUTOFFS = (1, 3, 10)
+CLASSES = ("public", "private")
+REL_TOL = 0.05
+MAX_ITER = 20
+SIGMA_HI = 8.0
 
 
 class EvalError(Exception):
@@ -64,43 +67,22 @@ def metrics(ranks: list[int]) -> Metrics:
 
 @dataclass
 class EvalReport:
-    """Per (query type, answer class) metrics plus pooled "All" rows."""
-    per_type: dict = field(default_factory=dict)  # (qtype, cls) -> Metrics
-    ranks: dict = field(default_factory=dict)     # (qtype, cls) -> list of ranks
+    """Filtered ranks per (query type, answer class); every metric is computed from them."""
+    ranks: dict = field(default_factory=dict)  # (qtype, cls) -> list of ranks
 
     def overall(self, cls: str) -> Metrics | None:
         pooled = [r for (qt, c), rs in self.ranks.items() if c == cls for r in rs]
         return metrics(pooled) if pooled else None
 
-    def to_tsv(self, baseline: "EvalReport | None" = None) -> str:
-        header = ["type", "class", "HR@1", "HR@3", "HR@10", "MRR", "count"]
-        if baseline is not None:
-            header.append("MRR_vs_baseline")
-        lines = ["\t".join(header)]
-        keys = [(qt, cls) for cls in ("public", "private") for qt in QUERY_TYPES]
-        for qt, cls in keys:
-            m = self.per_type.get((qt, cls))
-            if m is None:
-                continue
-            row = [qt, cls, "%.4f" % m.hr1, "%.4f" % m.hr3, "%.4f" % m.hr10,
-                   "%.4f" % m.mrr, str(m.count)]
-            if baseline is not None:
-                base = baseline.per_type.get((qt, cls))
-                row.append("%.1f%%" % (100.0 * m.mrr / base.mrr)
-                           if base and base.mrr > 0 else "n/a")
-            lines.append("\t".join(row))
-        for cls in ("public", "private"):
-            m = self.overall(cls)
-            if m is None:
-                continue
-            row = ["All", cls, "%.4f" % m.hr1, "%.4f" % m.hr3, "%.4f" % m.hr10,
-                   "%.4f" % m.mrr, str(m.count)]
-            if baseline is not None:
-                base = baseline.overall(cls)
-                row.append("%.1f%%" % (100.0 * m.mrr / base.mrr)
-                           if base and base.mrr > 0 else "n/a")
-            lines.append("\t".join(row))
-        return "\n".join(lines) + "\n"
+    def to_tsv(self) -> str:
+        """One row per (query type, class) with ranks, in template order, then
+        one pooled "All" row per class."""
+        rows = [(qt, cls, metrics(self.ranks[qt, cls]))
+                for cls in CLASSES for qt in QUERY_TYPES if (qt, cls) in self.ranks]
+        rows += [("All", cls, self.overall(cls)) for cls in CLASSES]
+        return "type\tclass\tHR@1\tHR@3\tHR@10\tMRR\tcount" + "".join(
+            "\n%s\t%s\t%.4f\t%.4f\t%.4f\t%.4f\t%d" % (qt, cls, m.hr1, m.hr3, m.hr10, m.mrr, m.count)
+            for qt, cls, m in rows if m is not None) + "\n"
 
 
 def query_targets(bq: BenchmarkQuery) -> tuple[frozenset, frozenset, frozenset]:
@@ -119,7 +101,6 @@ def evaluate_model(model: Encoder, queries: list[BenchmarkQuery],
     ``noise`` switches on the perturbation baseline (one draw per query)."""
     rng = np.random.default_rng(noise.seed) if noise is not None else None
     report = EvalReport()
-    collected: dict = {}
     for bq in queries:
         public, private, known = query_targets(bq)
         if not public and not private:
@@ -128,21 +109,17 @@ def evaluate_model(model: Encoder, queries: list[BenchmarkQuery],
             scores = noisy_scores_all(model, bq.query, noise, rng)
         else:
             scores = model.scores_all(model.encode(bq.query)).data
-        for cls, targets in (("public", public), ("private", private)):
+        for cls, targets in zip(CLASSES, (public, private)):
             for t in sorted(targets):
                 r = rank(scores, t, frozenset(known) - {t})
-                collected.setdefault((bq.qtype, cls), []).append(r)
-    for key, ranks_ in collected.items():
-        report.per_type[key] = metrics(ranks_)
-        report.ranks[key] = ranks_
+                report.ranks.setdefault((bq.qtype, cls), []).append(r)
     return report
 
 
 def calibrate_noise_sigma(model: Encoder, queries: list[BenchmarkQuery],
-                          target_public_mrr: float, seed: int = 0,
-                          rel_tol: float = 0.05, max_iter: int = 20,
-                          sigma_hi: float = 8.0) -> tuple[float, EvalReport]:
-    """Bisect sigma until the noisy public MRR matches the target within tolerance.
+                          target_public_mrr: float, seed: int = 0) -> tuple[float, EvalReport]:
+    """Bisect sigma in [0, SIGMA_HI] until the noisy public MRR is within REL_TOL
+    of the target, for at most MAX_ITER probes.
 
     Noisy MRR decreases with sigma; returns the matched sigma and its report."""
     def public_mrr(sigma):
@@ -150,14 +127,14 @@ def calibrate_noise_sigma(model: Encoder, queries: list[BenchmarkQuery],
         m = rep.overall("public")
         return (m.mrr if m else 0.0), rep
 
-    lo, hi = 0.0, sigma_hi
+    lo, hi = 0.0, SIGMA_HI
     best = None
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         mid = 0.5 * (lo + hi)
         mrr, rep = public_mrr(mid)
         if best is None or abs(mrr - target_public_mrr) < abs(best[1] - target_public_mrr):
             best = (mid, mrr, rep)
-        if abs(mrr - target_public_mrr) <= rel_tol * target_public_mrr:
+        if abs(mrr - target_public_mrr) <= REL_TOL * target_public_mrr:
             return mid, rep
         if mrr > target_public_mrr:
             lo = mid

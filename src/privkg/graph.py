@@ -206,8 +206,11 @@ class KnowledgeGraph:
         return csr
 
     def incident_vertices(self) -> list[int]:
-        """Sorted ids of the vertices that have at least one triple."""
-        return _unique(self.triples.rows()[:, ::2]).tolist()
+        """Sorted ids of the vertices that have at least one triple, read off the
+        full-view indices: every R-th ``indptr`` entry starts a vertex's keys."""
+        step = max(len(self.relations), 1)
+        fwd, bwd = (np.diff(self._index(d, False)[0][::step]) for d in ("forward", "backward"))
+        return np.flatnonzero(fwd + bwd).tolist()
 
     def attribute_triples(self) -> EdgeSet:
         n_rel, n_vert = self._space
@@ -230,13 +233,12 @@ class KnowledgeGraph:
 
 @dataclass(frozen=True)
 class GraphSplit:
-    """Cumulative train/valid/test graphs plus the held-out private edges.
+    """Cumulative train/valid/test graphs.
 
-    The test graph carries the private edges, flagged private."""
+    The test graph alone carries the held-out private edges, flagged private."""
     train: KnowledgeGraph
     valid: KnowledgeGraph
     test: KnowledgeGraph
-    private: EdgeSet
 
 
 # -- flat-file ingestion ----------------------------------------------------

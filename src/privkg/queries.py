@@ -52,12 +52,6 @@ class Union:
 QueryNode = TyUnion[Anchor, Projection, Intersection, Union]
 
 
-@dataclass(frozen=True)
-class DnfQuery:
-    """Union-free disjuncts whose union is the original query."""
-    disjuncts: tuple
-
-
 # -- parsing -----------------------------------------------------------------
 
 
@@ -164,11 +158,11 @@ def serialize(q: QueryNode, g: KnowledgeGraph) -> str:
 # -- rewriting ----------------------------------------------------------------
 
 
-def to_dnf(q: QueryNode) -> DnfQuery:
-    """Lift unions to the top; each disjunct is union-free.
+def to_dnf(q: QueryNode) -> tuple:
+    """Lift unions to the top: union-free disjuncts whose union is ``q``.
 
     Semantics-preserving by distributivity of projection/intersection over union."""
-    return DnfQuery(tuple(_dnf(q)))
+    return tuple(_dnf(q))
 
 
 def _dnf(q: QueryNode) -> list:

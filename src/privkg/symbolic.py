@@ -41,9 +41,9 @@ def _image(g: KnowledgeGraph, members, rel, direction, view) -> frozenset[int]:
     return frozenset(out)
 
 
-def evaluate(g: KnowledgeGraph, q: QueryNode, view: str = "full") -> frozenset[int]:
-    """Answer set of ``q`` on ``g``; ``view="public"`` ignores private triples."""
-    return _evaluate(g, q, view, {})
+def evaluate(g: KnowledgeGraph, q: QueryNode) -> frozenset[int]:
+    """Answer set of ``q`` on ``g``, private triples included."""
+    return _evaluate(g, q, {})
 
 
 # The recursions are module-level functions that take the memo as an argument:
@@ -53,18 +53,18 @@ def evaluate(g: KnowledgeGraph, q: QueryNode, view: str = "full") -> frozenset[i
 # lookup, and the query holds every node alive for the whole call.
 
 
-def _evaluate(g, node, view, memo):
+def _evaluate(g, node, memo):
     if id(node) in memo:
         return memo[id(node)]
     if isinstance(node, Anchor):
         result = frozenset((node.vertex,))
     elif isinstance(node, Projection):
-        result = _image(g, _evaluate(g, node.child, view, memo), node.rel, node.direction, view)
+        result = _image(g, _evaluate(g, node.child, memo), node.rel, node.direction, "full")
     elif isinstance(node, Intersection):
-        sets = [_evaluate(g, c, view, memo) for c in node.children]
+        sets = [_evaluate(g, c, memo) for c in node.children]
         result = frozenset.intersection(*sets)
     elif isinstance(node, Union):
-        result = frozenset().union(*[_evaluate(g, c, view, memo) for c in node.children])
+        result = frozenset().union(*[_evaluate(g, c, memo) for c in node.children])
     else:
         raise EvalError("not a query node: %r" % (node,))
     memo[id(node)] = result

@@ -35,7 +35,6 @@ class TrainConfig:
     candidate_sample: int = 0  # 0 = full softmax over all vertices
     privacy_direction: str = REVERSE_ONLY
     private_batch: int = 32  # private triples resampled per step
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if self.beta < 0:
@@ -123,7 +122,7 @@ def train(model: Encoder, queries: list[BenchmarkQuery], private_triples,
         raise TrainError("benchmark has no queries with training answers")
     private_pool = sorted(private_triples)
     rng = random.Random(config.seed)
-    optimizer = ad.make_optimizer(model.store, config.optimizer, config.lr)
+    optimizer = ad.Adam(model.store, config.lr)
     trace = LossTrace()
     for epoch in range(1, config.epochs + 1):
         order = list(trainable)

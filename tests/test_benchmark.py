@@ -58,12 +58,12 @@ def test_split_cumulative_containment(seed):
     g = random_graph(seed, n_vertices=35, n_triples=100, n_attributes=3)
     split = split_edges(g, sample_private_edges(g, 8, seed=seed), seed=seed)
     assert split.train.triples <= split.valid.triples <= split.test.triples
-    assert split.private <= split.test.triples
-    assert not split.private & split.train.triples
-    assert not split.private & split.valid.triples
-    assert split.test.private == split.private
+    assert split.test.private <= split.test.triples
+    assert not split.test.private & split.train.triples
+    assert not split.test.private & split.valid.triples
     # the split stays hashable: its private set hashes like the frozenset it equals
-    assert hash(split.private) == hash(frozenset(split.private)) and hash(split) == hash(split)
+    assert hash(split.test.private) == hash(frozenset(split.test.private)) \
+        and hash(split) == hash(split)
 
 
 def test_split_rejects_non_attribute_private():

@@ -135,6 +135,10 @@ def test_full_pipeline(tmp_path, capsys):
     body = (tmp_path / "merged" / "report-merged.tsv").read_text()
     assert "MRR_vs_baseline" in body.splitlines()[0]
     assert "100.0%" in body
+    # the pooled rows survive the merge
+    for cls in ("public", "private"):
+        [row] = [line for line in body.splitlines() if line.startswith("All\t%s\t" % cls)]
+        assert row.endswith("\t100.0%")
 
 
 def test_eval_noise_requires_sigma(tmp_path):
@@ -192,3 +196,48 @@ def test_pipeline_artifacts_pinned_and_repeatable(tmp_path):
     first = _run_pipeline(tmp_path, graph, schema, "a")
     assert _run_pipeline(tmp_path, graph, schema, "b") == first
     assert {f: hashlib.sha256(b).hexdigest() for f, b in first.items()} == PIPELINE_DIGESTS
+
+
+# sha256 pins of the second half of the CLI: train, eval, the noise baseline
+# and the merged report, run on the benchmark that _run_pipeline builds
+
+MODEL_DIGESTS = {
+    "train/model.ckpt": "d9028ee19f718a71f1e62e3b32af10e1817f3fbb8456edcaa2b607e8f42dcebf",
+    "train/trace.csv": "0735489e0d88c5099bf8da112965cab258a30e104b8d93ae0c5984da8f4e115e",
+    "eval/report.tsv": "e8311d35743efe0228b2f11afdd817dd49394742f240b147c1408f1d98e2772b",
+    "eval/ranks.json": "b087690a2eb898cf83ea73800c279d71388ea3cfabf5d2ce0bfe3b470c4c80d4",
+    "noise/report.tsv": "d2d29c5ebd3468a0551d4837ae3e2c175b1701ff1fda25fb8743c9a0d3b05018",
+    "noise/ranks.json": "2c860af284f3814ce768678f7564b6afcfc0a90845fb58eb6835de0bd2fbd037",
+    "report/report-merged.tsv": "1bccb34e3828e9c9c6e6ab7be2408ceadf8b3abbeb37bd141833bdc19304d790",
+}
+
+
+def _run_model(out, graph, schema):
+    base = ["--graph", graph, "--schema", schema, "--private", str(out / "priv" / "private.tsv"),
+            "--benchmark", str(out / "queries")]
+    ckpt = str(out / "train" / "model.ckpt")
+    for argv in (["train"] + base + ["--model", "gqe", "--dim", "8", "--epochs", "2",
+                                     "--lr", "0.02", "--beta", "0.1", "--seed", "4",
+                                     "--out", str(out / "train")],
+                 ["eval"] + base + ["--checkpoint", ckpt, "--seed", "5",
+                                    "--out", str(out / "eval")],
+                 ["eval"] + base + ["--checkpoint", ckpt, "--protection", "noise",
+                                    "--sigma", "0.5", "--seed", "6",
+                                    "--out", str(out / "noise")],
+                 ["report", "--eval-report", str(out / "eval" / "report.tsv"),
+                  "--baseline", str(out / "noise" / "report.tsv"),
+                  "--out", str(out / "report")]):
+        assert main(argv) == 0
+    files = ["train/model.ckpt", "train/trace.csv", "eval/report.tsv", "eval/ranks.json",
+             "noise/report.tsv", "noise/ranks.json", "report/report-merged.tsv"]
+    return {f: (out / f).read_bytes() for f in files}
+
+
+def test_model_artifacts_pinned_and_repeatable(tmp_path):
+    graph, schema = _write_synthetic(tmp_path)
+    runs = []
+    for name in ("a", "b"):
+        _run_pipeline(tmp_path, graph, schema, name)
+        runs.append(_run_model(tmp_path / name, graph, schema))
+    assert runs[0] == runs[1]
+    assert {f: hashlib.sha256(b).hexdigest() for f, b in runs[0].items()} == MODEL_DIGESTS

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from privkg.benchmark import BenchmarkQuery
+from privkg.cli import main
 from privkg.encoders import make_encoder
 from privkg.evaluation import (EvalError, EvalReport, calibrate_noise_sigma,
                                evaluate_model, metrics, query_targets, rank)
@@ -158,8 +159,11 @@ def test_evaluate_model_matches_manual_ranking(eval_setup):
                 want.setdefault((bq.qtype, cls), []).append(
                     rank(scores, t, frozenset(known) - {t}))
     assert report.ranks == want
+    rows = report.to_tsv().splitlines()
     for key, rs in want.items():
-        assert report.per_type[key] == metrics(rs)
+        m = metrics(rs)
+        assert "%s\t%s\t%.4f\t%.4f\t%.4f\t%.4f\t%d" % (*key, m.hr1, m.hr3, m.hr10, m.mrr,
+                                                        m.count) in rows
 
 
 def test_evaluate_model_rejects_nan_model(eval_setup):
@@ -206,13 +210,17 @@ def test_report_tsv_format(eval_setup):
         assert 0.0 <= float(fields[5]) <= 1.0
 
 
-def test_report_tsv_baseline_column(eval_setup):
+def test_report_tsv_baseline_column(eval_setup, tmp_path):
     m, queries = eval_setup
-    report = evaluate_model(m, queries)
-    text = report.to_tsv(baseline=report)
-    lines = text.splitlines()
+    path = tmp_path / "report.tsv"
+    path.write_text(evaluate_model(m, queries).to_tsv())
+    assert main(["report", "--eval-report", str(path), "--baseline", str(path),
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "report-merged.tsv").read_text().splitlines()
     assert lines[0].endswith("\tMRR_vs_baseline")
-    # a report compared with itself retains 100% of baseline MRR everywhere
+    # a report compared with itself retains 100% of baseline MRR everywhere,
+    # its pooled "All" rows included
+    assert [line.rsplit("\t", 1)[0] for line in lines] == path.read_text().splitlines()
     for line in lines[1:]:
         assert line.endswith("\t100.0%")
 
@@ -220,7 +228,6 @@ def test_report_tsv_baseline_column(eval_setup):
 def test_private_floor_all_misses():
     report = EvalReport()
     report.ranks[("1p", "private")] = [50, 60, 70]
-    report.per_type[("1p", "private")] = metrics([50, 60, 70])
     m = report.overall("private")
     assert m.hr10 == 0.0 and m.mrr < 0.05
 

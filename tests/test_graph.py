@@ -132,6 +132,8 @@ def test_neighbors_no_incident_triples(toy_graph):
     turing = toy_graph.vertex_id("Turing")
     live = toy_graph.relation_id("LiveIn")
     assert toy_graph.neighbors(turing, live, "forward") == frozenset()
+    # a graph without relations has no index keys, and no incident vertex
+    assert KnowledgeGraph(["v0"], [], ()).incident_vertices() == []
 
 
 def test_neighbors_match_linear_scan():

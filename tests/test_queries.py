@@ -52,7 +52,7 @@ def test_serialize_parse_identity_on_random_trees(seed):
 
 def test_dnf_union_free_is_identity(toy_graph):
     q = parse_query("(i (p WinAward (a Hinton)) (p WinAward (a LeCun)))", toy_graph)
-    assert to_dnf(q).disjuncts == (q,)
+    assert to_dnf(q) == (q,)
 
 
 def test_dnf_returns_union_free_templates_as_is(toy_graph):
@@ -65,7 +65,7 @@ def test_dnf_returns_union_free_templates_as_is(toy_graph):
     for text in templates:
         q = parse_query(text, toy_graph)
         assert classify_type(q) in ("1p", "2p", "2i", "3i", "pi", "ip")
-        [d] = to_dnf(q).disjuncts
+        [d] = to_dnf(q)
         assert d is q
 
 
@@ -89,12 +89,12 @@ def test_dnf_matches_rebuilding_reference(seed):
     rng = random.Random(2000 + seed)
     for _ in range(10):
         q = random_query(g, rng, max_depth=4)
-        assert to_dnf(q).disjuncts == tuple(_rebuilding_dnf(q))
+        assert to_dnf(q) == tuple(_rebuilding_dnf(q))
 
 
 def test_dnf_distributes_projection_over_union(toy_graph):
     q = parse_query("(p LiveIn (u (a Hinton) (a LeCun)))", toy_graph)
-    got = [serialize(d, toy_graph) for d in to_dnf(q).disjuncts]
+    got = [serialize(d, toy_graph) for d in to_dnf(q)]
     assert got == ["(p LiveIn (a Hinton))", "(p LiveIn (a LeCun))"]
 
 
@@ -106,10 +106,10 @@ def test_dnf_preserves_semantics_and_depth(seed):
     for _ in range(5):
         q = random_query(g, rng, max_depth=4)
         dnf = to_dnf(q)
-        assert not any(_has_union(d) for d in dnf.disjuncts)
-        union = frozenset().union(*[evaluate(g, d) for d in dnf.disjuncts])
+        assert not any(_has_union(d) for d in dnf)
+        union = frozenset().union(*[evaluate(g, d) for d in dnf])
         assert union == evaluate(g, q)
-        assert all(depth(d) <= depth(q) for d in dnf.disjuncts)
+        assert all(depth(d) <= depth(q) for d in dnf)
 
 
 def _has_union(node):

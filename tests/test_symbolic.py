@@ -13,8 +13,8 @@ from .conftest import mark_random_private, random_graph, random_query
 def test_fig2_1p_query(toy_graph):
     q = parse_query("(p LiveIn (a Hinton))", toy_graph)
     toronto = toy_graph.vertex_id("Toronto")
-    assert evaluate(toy_graph, q, "full") == {toronto}
-    assert evaluate(toy_graph, q, "public") == frozenset()
+    assert evaluate(toy_graph, q) == {toronto}
+    assert evaluate(toy_graph.public_view(), q) == frozenset()
 
 
 def test_intersection_idempotence(toy_graph):
@@ -94,14 +94,14 @@ def test_tagging_algebra_on_random_instances(seed):
     rng = random.Random(200 + seed)
     for _ in range(8):
         q = random_query(g, rng, max_depth=4)
-        full = evaluate(g, q, "full")
+        full = evaluate(g, q)
         for mode in ("relaxed", "strict"):
             tagged = evaluate_tagged(g, q, mode)
             assert tagged.public_members & tagged.private_members == frozenset()
             assert tagged.public_members | tagged.private_members == full
         relaxed = evaluate_tagged(g, q, "relaxed")
         strict = evaluate_tagged(g, q, "strict")
-        assert relaxed.public_members == evaluate(pub_view, q, "full")
+        assert relaxed.public_members == evaluate(pub_view, q)
         assert strict.private_members >= relaxed.private_members
 
 
@@ -166,7 +166,8 @@ def test_structurally_equal_subtrees_evaluate_without_hashing(toy_graph, monkeyp
     for cls in (Anchor, Projection, Intersection):
         monkeypatch.setattr(cls, "__hash__", _unhashable)
     assert evaluate(toy_graph, q) == full
-    assert evaluate(toy_graph, q, "public") == evaluate(toy_graph, single, "public")
+    public = toy_graph.public_view()
+    assert evaluate(public, q) == evaluate(public, single)
     assert evaluate_tagged(toy_graph, q, "strict") == tagged
     assert full == brute_force_oracle(toy_graph, single)
 
