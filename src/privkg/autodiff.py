@@ -228,12 +228,12 @@ def reshape(a, shape) -> Tensor:
 # -- reductions -----------------------------------------------------------
 
 
-def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
+def reduce_sum(a, axis=None) -> Tensor:
     a = tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,))
+    out = Tensor(a.data.sum(axis=axis), (a,))
 
     def back(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         a._accumulate(np.broadcast_to(g, a.shape).copy())
 
@@ -241,10 +241,10 @@ def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
     return out
 
 
-def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
+def reduce_mean(a, axis=None) -> Tensor:
     a = tensor(a)
     count = a.data.size if axis is None else a.data.shape[axis]
-    return multiply(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / count)
+    return multiply(reduce_sum(a, axis=axis), 1.0 / count)
 
 
 def _reduce_extreme(a, axis, argfn, redfn):
@@ -549,17 +549,16 @@ class SGD:
 
 
 class Adam:
-    def __init__(self, store: ParameterStore, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, store: ParameterStore, lr: float):
         self.store = store
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {n: np.zeros_like(p.data) for n, p in store.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in store.params.items()}
         self.t = 0
 
     def step(self) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8  # the usual Adam constants
         for name, p in self.store.params.items():
             if p.grad is None:
                 continue
@@ -569,7 +568,7 @@ class Adam:
             v = self.v[name] = b2 * self.v[name] + (1 - b2) * p.grad ** 2
             m_hat = m / (1 - b1 ** self.t)
             v_hat = v / (1 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
         self.store.zero_grad()
 
 

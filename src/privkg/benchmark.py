@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import EdgeSet, GraphSplit, KnowledgeGraph, Triple
+from .graph import BACKWARD, FORWARD, EdgeSet, GraphSplit, KnowledgeGraph, Triple
 from .queries import (QUERY_TYPES, Anchor, Intersection, Projection, QueryNode,
                       Union, classify_type, parse_query, serialize)
 from .symbolic import RELAXED, TaggedAnswerSet, evaluate, evaluate_tagged
@@ -80,26 +80,24 @@ def _step_choices(g: KnowledgeGraph, v: int):
     backward projection from x."""
     choices = []
     for rel in g.relations:
-        for u in g.neighbors(v, rel.id, "backward"):
-            choices.append(("forward", rel.id, u))
-        for x in g.neighbors(v, rel.id, "forward"):
-            choices.append(("backward", rel.id, x))
+        for u in g.neighbors(v, rel.id, BACKWARD):
+            choices.append((FORWARD, rel.id, u))
+        for x in g.neighbors(v, rel.id, FORWARD):
+            choices.append((BACKWARD, rel.id, x))
     choices.sort()
     return choices
 
 
 def _sample_chain(g, v, length, rng):
     """Projection chain of the given length whose answers include v."""
-    node = None
     steps = []
     current = v
     for _ in range(length):
         choices = _step_choices(g, current)
         if not choices:
             return None
-        direction, rel, source = rng.choice(choices)
+        direction, rel, current = rng.choice(choices)
         steps.append((direction, rel))
-        current = source
     node = Anchor(current)
     for direction, rel in reversed(steps):
         node = Projection(rel, direction, node)
@@ -120,20 +118,18 @@ def _sample_template(g, qtype, rng, vertices):
     if not vertices:
         return None
     v = rng.choice(vertices)
-    if qtype == "1p":
-        return _sample_chain(g, v, 1, rng)
-    if qtype == "2p":
-        return _sample_chain(g, v, 2, rng)
-    if qtype in ("2i", "3i"):
-        branches = _sample_branches(g, v, 2 if qtype == "2i" else 3, rng)
-        return Intersection(branches) if branches else None
+    if qtype in ("1p", "2p"):
+        return _sample_chain(g, v, 1 if qtype == "1p" else 2, rng)
+    if qtype in ("2i", "3i", "2u"):
+        branches = _sample_branches(g, v, 3 if qtype == "3i" else 2, rng)
+        return (Union if qtype == "2u" else Intersection)(branches) if branches else None
     if qtype == "pi":
         two = _sample_chain(g, v, 2, rng)
         one = _sample_branches(g, v, 1, rng)
         if two is None or one is None or two == one[0].child:
             return None
         return Intersection((two, one[0]))
-    if qtype == "ip":
+    if qtype in ("ip", "up"):
         choices = _step_choices(g, v)
         if not choices:
             return None
@@ -141,19 +137,7 @@ def _sample_template(g, qtype, rng, vertices):
         branches = _sample_branches(g, mid, 2, rng)
         if branches is None:
             return None
-        return Projection(rel, direction, Intersection(branches))
-    if qtype == "2u":
-        branches = _sample_branches(g, v, 2, rng)
-        return Union(branches) if branches else None
-    if qtype == "up":
-        choices = _step_choices(g, v)
-        if not choices:
-            return None
-        direction, rel, mid = rng.choice(choices)
-        branches = _sample_branches(g, mid, 2, rng)
-        if branches is None:
-            return None
-        return Projection(rel, direction, Union(branches))
+        return Projection(rel, direction, (Union if qtype == "up" else Intersection)(branches))
     raise BenchmarkError("unknown query type %r" % qtype)
 
 

@@ -2,8 +2,8 @@
 eval, audit, report.
 
 Every command writes its artifacts under --out together with a JSON manifest
-(command, flags, seeds, input digests, tool version). Seeds are mandatory
-wherever randomness is involved; nothing defaults to wall-clock state.
+(command, flags, seeds, tool version, input digests keyed by flag). Seeds are
+mandatory wherever randomness is involved; nothing defaults to wall-clock state.
 """
 
 from __future__ import annotations
@@ -33,12 +33,16 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, command, args, inputs, outputs) -> None:
+def _write_manifest(out_dir, args, outputs) -> None:
+    inputs = {flag: getattr(args, flag, None) for flag in
+              ("graph", "schema", "private", "checkpoint", "eval_report", "baseline")}
+    for p in _benchmark_files(args.benchmark) if getattr(args, "benchmark", None) else ():
+        inputs["benchmark/" + os.path.basename(p)] = p
     manifest = {
         "tool": "privkg %s" % __version__,
-        "command": command,
+        "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
-        "inputs": {os.path.basename(p): _digest(p) for p in inputs if p},
+        "inputs": {flag: _digest(p) for flag, p in inputs.items() if p},
         "outputs": sorted(os.path.basename(p) for p in outputs),
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
@@ -71,7 +75,7 @@ def cmd_ingest(args):
             "private_triples": len(g.private),
         }, f, indent=2, sort_keys=True)
         f.write("\n")
-    _write_manifest(out, "ingest", args, [args.graph, args.schema], [stats_path])
+    _write_manifest(out, args, [stats_path])
     return 0
 
 
@@ -81,7 +85,7 @@ def cmd_privatize(args):
     out = _ensure_out(args)
     path = os.path.join(out, "private.tsv")
     write_triples(path, g, private)
-    _write_manifest(out, "privatize", args, [args.graph, args.schema], [path])
+    _write_manifest(out, args, [path])
     return 0
 
 
@@ -94,7 +98,7 @@ def cmd_split(args):
         path = os.path.join(out, "%s.tsv" % name)
         write_triples(path, g, kg.triples)
         paths.append(path)
-    _write_manifest(out, "split", args, [args.graph, args.schema, args.private], paths)
+    _write_manifest(out, args, paths)
     return 0
 
 
@@ -115,16 +119,17 @@ def cmd_sample_queries(args):
     with open(stats_path, "w", encoding="utf-8") as f:
         f.write(format_stats(stats(pool)))
     paths.append(stats_path)
-    _write_manifest(out, "sample-queries", args,
-                    [args.graph, args.schema, args.private], paths)
+    _write_manifest(out, args, paths)
     return 0
 
 
+def _benchmark_files(path) -> list:
+    return [os.path.join(path, name) for name in sorted(os.listdir(path))
+            if name.startswith("queries-") and name.endswith(".tsv")]
+
+
 def _read_benchmark_dir(path, g):
-    queries = []
-    for name in sorted(os.listdir(path)):
-        if name.startswith("queries-") and name.endswith(".tsv"):
-            queries.extend(read_benchmark(os.path.join(path, name), g))
+    queries = [bq for p in _benchmark_files(path) for bq in read_benchmark(p, g)]
     if not queries:
         raise SystemExit("no queries-*.tsv files under %s" % path)
     return queries
@@ -146,8 +151,7 @@ def cmd_train(args):
     model.save(ckpt)
     trace_path = os.path.join(out, "trace.csv")
     trace.write_csv(trace_path)
-    _write_manifest(out, "train", args, [args.graph, args.schema, args.private],
-                    [ckpt, trace_path])
+    _write_manifest(out, args, [ckpt, trace_path])
     return 0
 
 
@@ -168,9 +172,7 @@ def cmd_eval(args):
     with open(os.path.join(out, "ranks.json"), "w", encoding="utf-8") as f:
         json.dump({"%s/%s" % k: v for k, v in report.ranks.items()}, f, sort_keys=True)
         f.write("\n")
-    _write_manifest(out, "eval", args,
-                    [args.graph, args.schema, args.private, args.checkpoint],
-                    [path, os.path.join(out, "ranks.json")])
+    _write_manifest(out, args, [path, os.path.join(out, "ranks.json")])
     return 0
 
 
@@ -204,8 +206,7 @@ def cmd_report(args):
     path = os.path.join(out, "report-merged.tsv")
     with open(path, "w", encoding="utf-8") as f:
         f.write("".join("\t".join(r) + "\n" for r in rows))
-    inputs = [args.eval_report] + ([args.baseline] if args.baseline else [])
-    _write_manifest(out, "report", args, inputs, [path])
+    _write_manifest(out, args, [path])
     return 0
 
 

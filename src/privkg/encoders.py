@@ -10,7 +10,6 @@ Backward projections use a dedicated inverse-relation row per relation.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from typing import NamedTuple
 
@@ -19,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .graph import KnowledgeGraph
-from .queries import BACKWARD, Anchor, Intersection, Projection, QueryNode, to_dnf
+from .queries import BACKWARD, Anchor, Projection, QueryNode, shape, to_dnf
 
 DEFAULT_DIM = 64
 DEFAULT_PARTICLES = 3
@@ -52,17 +51,12 @@ def _xavier(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _shape(node):
-    """Hashable operator shape of a union-free query; equal shapes batch together."""
-    if isinstance(node, Anchor):
-        return "a"
-    if isinstance(node, Projection):
-        return ("p", _shape(node.child))
-    if isinstance(node, Intersection):
-        if len(node.children) < 2:
-            raise EncoderError("intersection arity must be >= 2")
-        return ("i",) + tuple(_shape(c) for c in node.children)
-    raise EncoderError("not a union-free query node: %r" % (node,))
+def _group_by_shape(nodes) -> list:
+    """Indices of ``nodes`` grouped by shape, groups in order of first appearance."""
+    groups: dict = {}
+    for i, node in enumerate(nodes):
+        groups.setdefault(shape(node), []).append(i)
+    return list(groups.values())
 
 
 class Encoder:
@@ -111,11 +105,9 @@ class Encoder:
         return 2 * np.asarray(rels, dtype=np.intp) + (np.asarray(directions) == BACKWARD)
 
     def encode(self, q: QueryNode) -> list:
-        """Embeddings of the DNF disjuncts, one per run of same-shaped ones.
-
-        Concatenated, their rows are the disjuncts in DNF order."""
-        return [self._encode_group(list(run))
-                for _, run in itertools.groupby(to_dnf(q), key=_shape)]
+        """Embeddings of the DNF disjuncts, one per shape (``_group_by_shape``)."""
+        dnf = to_dnf(q)
+        return [self._encode_group([dnf[i] for i in idx]) for idx in _group_by_shape(dnf)]
 
     def _encode_group(self, nodes):
         """Encode same-shaped union-free nodes; one primitive call per operator."""
@@ -125,6 +117,8 @@ class Encoder:
         if isinstance(first, Projection):
             return self.project(self._encode_group([n.child for n in nodes]),
                                 [n.rel for n in nodes], [n.direction for n in nodes])
+        if len(first.children) < 2:
+            raise EncoderError("intersection arity must be >= 2")
         return self.intersect([self._encode_group([n.children[k] for n in nodes])
                                for k in range(len(first.children))])
 
@@ -151,16 +145,14 @@ class Encoder:
             raise EncoderError("target vertex id out of range")
         dnfs = [to_dnf(q) for q in queries]
         flat = [d for ds in dnfs for d in ds]
-        groups: dict = {}
-        for i, d in enumerate(flat):
-            groups.setdefault(_shape(d), []).append(i)
-        parts = [self.scores(self._encode_group([flat[i] for i in idx])) for idx in groups.values()]
+        groups = _group_by_shape(flat)
+        parts = [self.scores(self._encode_group([flat[i] for i in idx])) for idx in groups]
         scores = ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
         # row of `scores` for each query's j-th disjunct, padded by repeating its last:
         # the max is unchanged and its gradient still goes to the first maximal one
         counts = np.array([len(ds) for ds in dnfs])[:, None]
         slots = np.cumsum(counts)[:, None] - counts + np.minimum(np.arange(counts.max()), counts - 1)
-        index = np.argsort(np.concatenate(list(groups.values())))[slots]
+        index = np.argsort(np.concatenate(groups))[slots]
         if not np.array_equal(index, np.arange(len(queries))[:, None]):
             scores = ad.reduce_max(ad.rows(scores, index), axis=1)
         if candidate_sample > 0:

@@ -20,6 +20,8 @@ import numpy as np
 
 REL = "rel"
 ATTR = "attr"
+FORWARD = "forward"
+BACKWARD = "backward"
 
 
 class GraphError(Exception):
@@ -171,7 +173,7 @@ class KnowledgeGraph:
     def relation_name(self, rid: int) -> str:
         return self.relations[rid].name
 
-    def neighbors(self, v: int, r: int, direction: str = "forward", view: str = "full") -> frozenset[int]:
+    def neighbors(self, v: int, r: int, direction: str = FORWARD, view: str = "full") -> frozenset[int]:
         """Forward: tails of (v, r, *). Backward: heads of (*, r, v).
 
         ``view="public"`` excludes private triples.
@@ -184,7 +186,7 @@ class KnowledgeGraph:
             raise GraphError("unknown vertex id %d" % v)
         if not 0 <= r < len(self.relations):
             raise GraphError("unknown relation id %d" % r)
-        if direction not in ("forward", "backward"):
+        if direction not in (FORWARD, BACKWARD):
             raise GraphError("direction must be forward or backward, got %r" % direction)
         indptr, targets = self._index(direction, view == "public" and bool(self.private))
         k = v * len(self.relations) + r
@@ -197,7 +199,7 @@ class KnowledgeGraph:
         csr = self._csr.get((direction, public))
         if csr is None:
             h, r, t = (self.triples - self.private if public else self.triples).rows().T
-            src, dst = (h, t) if direction == "forward" else (t, h)
+            src, dst = (h, t) if direction == FORWARD else (t, h)
             n_keys = len(self.vertex_names) * len(self.relations)
             keys = src * len(self.relations) + r
             indptr = np.zeros(n_keys + 1, dtype=np.int64)
@@ -209,7 +211,7 @@ class KnowledgeGraph:
         """Sorted ids of the vertices that have at least one triple, read off the
         full-view indices: every R-th ``indptr`` entry starts a vertex's keys."""
         step = max(len(self.relations), 1)
-        fwd, bwd = (np.diff(self._index(d, False)[0][::step]) for d in ("forward", "backward"))
+        fwd, bwd = (np.diff(self._index(d, False)[0][::step]) for d in (FORWARD, BACKWARD))
         return np.flatnonzero(fwd + bwd).tolist()
 
     def attribute_triples(self) -> EdgeSet:

@@ -15,12 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union as TyUnion
 
-from .graph import KnowledgeGraph
-
-FORWARD = "forward"
-BACKWARD = "backward"
-
-QUERY_TYPES = ("1p", "2p", "2i", "3i", "pi", "ip", "2u", "up")
+from .graph import BACKWARD, FORWARD, KnowledgeGraph
 
 
 class QueryError(Exception):
@@ -148,10 +143,9 @@ def serialize(q: QueryNode, g: KnowledgeGraph) -> str:
     if isinstance(q, Projection):
         op = "p" if q.direction == FORWARD else "rp"
         return "(%s %s %s)" % (op, g.relation_name(q.rel), serialize(q.child, g))
-    if isinstance(q, Intersection):
-        return "(i %s)" % " ".join(serialize(c, g) for c in q.children)
-    if isinstance(q, Union):
-        return "(u %s)" % " ".join(serialize(c, g) for c in q.children)
+    if isinstance(q, (Intersection, Union)):
+        op = "i" if isinstance(q, Intersection) else "u"
+        return "(%s %s)" % (op, " ".join(serialize(c, g) for c in q.children))
     raise QueryError("not a query node: %r" % (q,))
 
 
@@ -190,46 +184,40 @@ def _dnf(q: QueryNode) -> list:
     raise QueryError("not a query node: %r" % (q,))
 
 
-# -- template recognition ------------------------------------------------------
+# -- shapes and templates ------------------------------------------------------
 
 
-def _is_1p(q) -> bool:
-    return isinstance(q, Projection) and isinstance(q.child, Anchor)
+def shape(q: QueryNode) -> str | tuple:
+    """Operator signature of ``q``: ``"a"``, ``("p", s)``, ``("i", *s)`` or
+    ``("u", *s)``, with vertices, relations and directions dropped."""
+    if isinstance(q, Anchor):
+        return "a"
+    if isinstance(q, Projection):
+        return ("p", shape(q.child))
+    if isinstance(q, (Intersection, Union)):
+        return ("i" if isinstance(q, Intersection) else "u",) + tuple(map(shape, q.children))
+    raise QueryError("not a query node: %r" % (q,))
 
 
-def _is_2p(q) -> bool:
-    return isinstance(q, Projection) and _is_1p(q.child)
+# shape of each of the eight benchmark templates; pi in both child orders
+TEMPLATES = {
+    ("p", "a"): "1p",
+    ("p", ("p", "a")): "2p",
+    ("i", ("p", "a"), ("p", "a")): "2i",
+    ("i", ("p", "a"), ("p", "a"), ("p", "a")): "3i",
+    ("i", ("p", ("p", "a")), ("p", "a")): "pi",
+    ("i", ("p", "a"), ("p", ("p", "a"))): "pi",
+    ("p", ("i", ("p", "a"), ("p", "a"))): "ip",
+    ("u", ("p", "a"), ("p", "a")): "2u",
+    ("p", ("u", ("p", "a"), ("p", "a"))): "up",
+}
+
+QUERY_TYPES = tuple(dict.fromkeys(TEMPLATES.values()))
 
 
 def classify_type(q: QueryNode) -> str:
-    """Map a tree shape to one of the eight benchmark templates, else "other"."""
-    if _is_1p(q):
-        return "1p"
-    if _is_2p(q):
-        return "2p"
-    if isinstance(q, Intersection):
-        kids = q.children
-        if len(kids) == 2 and all(_is_1p(c) for c in kids):
-            return "2i"
-        if len(kids) == 3 and all(_is_1p(c) for c in kids):
-            return "3i"
-        if len(kids) == 2 and sum(_is_2p(c) for c in kids) == 1 and sum(_is_1p(c) for c in kids) == 1:
-            return "pi"
-        return "other"
-    if isinstance(q, Union):
-        if len(q.children) == 2 and all(_is_1p(c) for c in q.children):
-            return "2u"
-        return "other"
-    if isinstance(q, Projection):
-        inner = q.child
-        if isinstance(inner, Intersection) and len(inner.children) == 2 \
-                and all(_is_1p(c) for c in inner.children):
-            return "ip"
-        if isinstance(inner, Union) and len(inner.children) == 2 \
-                and all(_is_1p(c) for c in inner.children):
-            return "up"
-        return "other"
-    return "other"
+    """The benchmark template ``q`` instantiates, else "other"."""
+    return TEMPLATES.get(shape(q), "other")
 
 
 def depth(q: QueryNode) -> int:

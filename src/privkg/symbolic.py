@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import KnowledgeGraph
+from .graph import FORWARD, KnowledgeGraph
 from .queries import Anchor, Intersection, Projection, QueryNode, Union
 
 RELAXED = "relaxed"
@@ -146,7 +146,7 @@ def _compile(node, out_term, fresh):
             child_term = (VAR, fresh[0])
             fresh[0] += 1
             child_disjuncts = _compile(node.child, child_term, fresh)
-        if node.direction == "forward":
+        if node.direction == FORWARD:
             atom = (child_term, node.rel, out_term)
         else:
             atom = (out_term, node.rel, child_term)

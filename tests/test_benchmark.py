@@ -7,7 +7,7 @@ from privkg.benchmark import (BenchmarkError, format_stats, parse_query_line,
                               query_line, read_benchmark, sample_private_edges,
                               sample_queries, split_edges, stats,
                               training_subset, validation_subset, write_benchmark)
-from privkg.queries import QUERY_TYPES, classify_type
+from privkg.queries import QUERY_TYPES, classify_type, shape, to_dnf
 from privkg.symbolic import evaluate, evaluate_tagged
 from privkg.synthetic import make_synthetic_kg
 from .conftest import random_graph
@@ -96,6 +96,16 @@ def test_sampled_queries_revalidate(split, qtype):
         assert evaluate(split.valid, bq.query) == bq.valid_answers
         tagged = evaluate_tagged(split.test, bq.query)
         assert tagged == bq.test_answers
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sampled_queries_have_single_shape_dnfs(split, seed):
+    # encoders batch a query's disjuncts by shape: every template is one batch
+    for qtype in QUERY_TYPES:
+        for bq in sample_queries(split, qtype, 20, seed=seed):
+            dnf = to_dnf(bq.query)
+            assert len({shape(d) for d in dnf}) == 1
+            assert len(dnf) == (2 if qtype in ("2u", "up") else 1)
 
 
 def test_sample_queries_deterministic(split):

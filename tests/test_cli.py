@@ -6,6 +6,7 @@ import pytest
 
 from privkg.cli import main
 from privkg.graph import from_named_triples, write_triples
+from privkg.queries import QUERY_TYPES
 from .conftest import TOY_SCHEMA, TOY_TRIPLES
 
 
@@ -42,7 +43,7 @@ def test_ingest_writes_stats_and_manifest(tmp_path):
     assert stats["vertices"] == 8
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["command"] == "ingest"
-    assert set(manifest["inputs"]) == {"graph.tsv", "schema.tsv"}
+    assert set(manifest["inputs"]) == {"graph", "schema"}
     assert all(len(d) == 64 for d in manifest["inputs"].values())
 
 
@@ -241,3 +242,34 @@ def test_model_artifacts_pinned_and_repeatable(tmp_path):
         runs.append(_run_model(tmp_path / name, graph, schema))
     assert runs[0] == runs[1]
     assert {f: hashlib.sha256(b).hexdigest() for f, b in runs[0].items()} == MODEL_DIGESTS
+
+
+def _manifest(path):
+    return json.loads((path / "manifest.json").read_text())
+
+
+def test_manifests_record_every_input_under_its_flag(tmp_path):
+    graph, schema = _write_synthetic(tmp_path)
+    _run_pipeline(tmp_path, graph, schema, "a")
+    _run_model(tmp_path / "a", graph, schema)
+    out = tmp_path / "a"
+    queries = {"benchmark/queries-%s.tsv" % t for t in QUERY_TYPES}
+    assert set(_manifest(out / "train")["inputs"]) == {"graph", "schema", "private"} | queries
+    assert set(_manifest(out / "eval")["inputs"]) == \
+        {"graph", "schema", "private", "checkpoint"} | queries
+    assert _manifest(out / "ingest")["inputs"].keys() == {"graph", "schema", "private"}
+    for stage in ("train", "eval", "noise"):
+        assert _manifest(out / stage)["command"] == ("train" if stage == "train" else "eval")
+
+
+def test_report_manifest_keeps_both_report_digests(tmp_path):
+    graph, schema = _write_synthetic(tmp_path)
+    _run_pipeline(tmp_path, graph, schema, "a")
+    _run_model(tmp_path / "a", graph, schema)
+    out = tmp_path / "a"
+    inputs = _manifest(out / "report")["inputs"]
+    assert inputs == {
+        "eval_report": hashlib.sha256((out / "eval" / "report.tsv").read_bytes()).hexdigest(),
+        "baseline": hashlib.sha256((out / "noise" / "report.tsv").read_bytes()).hexdigest(),
+    }
+    assert inputs["eval_report"] != inputs["baseline"]

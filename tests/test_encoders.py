@@ -205,12 +205,12 @@ def test_q2p_scores_are_max_over_particles(models):
 
 
 def test_dnf_scores_are_max_over_disjuncts(models, toy_graph):
-    # differently shaped branches: two embeddings, rows still in DNF order
+    # shapes X, Y, X: one embedding per shape, the two X rows batched together
     q = parse_query("(u (p LiveIn (a Hinton)) (p LiveIn (i (a LeCun) (a Bengio))) "
                     "(p BornIn (a Bengio)))", toy_graph)
     for m in models.values():
         embs = m.encode(q)
-        assert len(embs) == 3
+        assert len(embs) == 2
         combined = m.scores_all(embs).data
         individual = np.concatenate([m.scores(e).data for e in embs])
         assert np.array_equal(combined, individual.max(axis=0))

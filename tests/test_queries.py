@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from privkg.queries import (Anchor, Intersection, Projection, QueryError, Union,
-                            classify_type, depth, parse_query, serialize, to_dnf)
+from privkg.queries import (FORWARD, QUERY_TYPES, TEMPLATES, Anchor, Intersection,
+                            Projection, QueryError, Union, classify_type, depth,
+                            parse_query, serialize, shape, to_dnf)
 from privkg.symbolic import evaluate
 from .conftest import random_graph, random_query
 
@@ -149,3 +150,79 @@ def test_classify_invariant_under_child_reordering(toy_graph):
     assert classify_type(q) == classify_type(flipped) == "pi"
     u = parse_query("(u (p LiveIn (a Hinton)) (p LiveIn (a LeCun)))", toy_graph)
     assert classify_type(Union(tuple(reversed(u.children)))) == "2u"
+
+
+def test_shape_drops_vertices_relations_and_directions(toy_graph):
+    a = parse_query("(p LiveIn (u (rp WinAward (a Turing)) (p Collaborate (a LeCun))))", toy_graph)
+    b = parse_query("(rp BornIn (u (p LiveIn (a Hinton)) (rp WinAward (a NYC))))", toy_graph)
+    assert shape(a) == shape(b) == ("p", ("u", ("p", "a"), ("p", "a")))
+    with pytest.raises(QueryError):
+        shape("(a Hinton)")
+
+
+def test_query_types_are_the_eight_templates_in_order():
+    assert QUERY_TYPES == ("1p", "2p", "2i", "3i", "pi", "ip", "2u", "up")
+    assert set(TEMPLATES.values()) == set(QUERY_TYPES)
+
+
+def _is_1p(q) -> bool:
+    return isinstance(q, Projection) and isinstance(q.child, Anchor)
+
+
+def _is_2p(q) -> bool:
+    return isinstance(q, Projection) and _is_1p(q.child)
+
+
+def _ladder_classify_type(q) -> str:
+    """``classify_type`` as a ladder of predicates, before it read a shape table."""
+    if _is_1p(q):
+        return "1p"
+    if _is_2p(q):
+        return "2p"
+    if isinstance(q, Intersection):
+        kids = q.children
+        if len(kids) == 2 and all(_is_1p(c) for c in kids):
+            return "2i"
+        if len(kids) == 3 and all(_is_1p(c) for c in kids):
+            return "3i"
+        if len(kids) == 2 and sum(_is_2p(c) for c in kids) == 1 and sum(_is_1p(c) for c in kids) == 1:
+            return "pi"
+        return "other"
+    if isinstance(q, Union):
+        if len(q.children) == 2 and all(_is_1p(c) for c in q.children):
+            return "2u"
+        return "other"
+    if isinstance(q, Projection):
+        inner = q.child
+        if isinstance(inner, Intersection) and len(inner.children) == 2 \
+                and all(_is_1p(c) for c in inner.children):
+            return "ip"
+        if isinstance(inner, Union) and len(inner.children) == 2 \
+                and all(_is_1p(c) for c in inner.children):
+            return "up"
+        return "other"
+    return "other"
+
+
+def _trees(g, rng):
+    """A random_query tree of depth 1-4, the same under an arity-1 intersection,
+    an arity-1 union and one more projection, and a 5-hop chain."""
+    q = random_query(g, rng, max_depth=rng.randint(1, 4))
+    hop = Projection(rng.randrange(len(g.relations)), FORWARD, q)
+    chain = Anchor(rng.randrange(g.num_vertices()))
+    for _ in range(5):
+        chain = Projection(rng.randrange(len(g.relations)), FORWARD, chain)
+    return [q, Intersection((q,)), Union((q,)), hop, Intersection((hop, q)), chain]
+
+
+def test_classify_matches_predicate_ladder():
+    seen = set()
+    for seed in range(20):  # 24,000 trees
+        g = random_graph(seed, n_vertices=25, n_triples=80)
+        rng = random.Random(3000 + seed)
+        for _ in range(200):
+            for q in _trees(g, rng):
+                want = _ladder_classify_type(q)
+                assert classify_type(q) == want, q
+                seen.add(want)
+    assert seen == set(QUERY_TYPES) | {"other"}
