@@ -37,9 +37,9 @@ class BenchmarkQuery:
 def sample_private_edges(g: KnowledgeGraph, n: int, seed: int) -> frozenset[Triple]:
     """Uniform seeded sample of n attribute triples."""
     attrs = g.attribute_triples()
-    if n > len(attrs):
-        raise BenchmarkError("requested %d private edges but only %d attribute triples exist"
-                             % (n, len(attrs)))
+    if not 0 <= n <= len(attrs):
+        raise BenchmarkError("requested %d private edges; n must be in [0, %d], the number"
+                             " of attribute triples" % (n, len(attrs)))
     # the draws depend only on len(attrs) and n; rows are in sorted triple order
     picked = attrs.rows()[random.Random(seed).sample(range(len(attrs)), n)]
     return frozenset(map(Triple._make, picked.tolist()))

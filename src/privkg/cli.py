@@ -1,9 +1,10 @@
 """Command-line pipeline: ingest, privatize, split, sample-queries, train,
 eval, audit, report.
 
-Every command writes its artifacts under --out together with a JSON manifest
-(command, flags, seeds, tool version, input digests keyed by flag). Seeds are
-mandatory wherever randomness is involved; nothing defaults to wall-clock state.
+Every command but audit writes its artifacts under --out and returns their
+names; ``main`` then writes a JSON manifest beside them (command, flags, seeds,
+tool version, input digests keyed by flag, outputs). Seeds are mandatory
+wherever randomness is involved; nothing defaults to wall-clock state.
 """
 
 from __future__ import annotations
@@ -33,20 +34,23 @@ def _digest(path) -> str:
     return h.hexdigest()
 
 
-def _write_manifest(out_dir, args, outputs) -> None:
+def _write_manifest(args, outputs) -> None:
     inputs = {flag: getattr(args, flag, None) for flag in
               ("graph", "schema", "private", "checkpoint", "eval_report", "baseline")}
     for p in _benchmark_files(args.benchmark) if getattr(args, "benchmark", None) else ():
         inputs["benchmark/" + os.path.basename(p)] = p
-    manifest = {
+    _write_json(os.path.join(args.out, "manifest.json"), {
         "tool": "privkg %s" % __version__,
         "command": args.command,
         "config": {k: v for k, v in vars(args).items() if k != "func"},
         "inputs": {flag: _digest(p) for flag, p in inputs.items() if p},
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-    }
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
+        "outputs": sorted(outputs),
+    }, indent=2)
+
+
+def _write_json(path, obj, indent=None) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=indent, sort_keys=True)
         f.write("\n")
 
 
@@ -57,70 +61,53 @@ def _load_graph(args):
     return g
 
 
-def _ensure_out(args):
+def _out(args, name) -> str:
+    """The path of ``name`` under --out, making --out on first use."""
     os.makedirs(args.out, exist_ok=True)
-    return args.out
+    return os.path.join(args.out, name)
 
 
 def cmd_ingest(args):
     g = _load_graph(args)
-    out = _ensure_out(args)
-    stats_path = os.path.join(out, "graph-stats.json")
-    with open(stats_path, "w", encoding="utf-8") as f:
-        json.dump({
-            "vertices": g.num_vertices(),
-            "relations": len(g.relations),
-            "triples": len(g.triples),
-            "attribute_triples": len(g.attribute_triples()),
-            "private_triples": len(g.private),
-        }, f, indent=2, sort_keys=True)
-        f.write("\n")
-    _write_manifest(out, args, [stats_path])
-    return 0
+    _write_json(_out(args, "graph-stats.json"), {
+        "vertices": g.num_vertices(),
+        "relations": len(g.relations),
+        "triples": len(g.triples),
+        "attribute_triples": len(g.attribute_triples()),
+        "private_triples": len(g.private),
+    }, indent=2)
+    return ["graph-stats.json"]
 
 
 def cmd_privatize(args):
     g = _load_graph(args)
     private = sample_private_edges(g, args.n_private, args.seed)
-    out = _ensure_out(args)
-    path = os.path.join(out, "private.tsv")
-    write_triples(path, g, private)
-    _write_manifest(out, args, [path])
-    return 0
+    write_triples(_out(args, "private.tsv"), g, private)
+    return ["private.tsv"]
 
 
 def cmd_split(args):
     g = _load_graph(args)
     split = split_edges(g, g.private, args.seed)
-    out = _ensure_out(args)
-    paths = []
-    for name, kg in (("train", split.train), ("valid", split.valid), ("test", split.test)):
-        path = os.path.join(out, "%s.tsv" % name)
-        write_triples(path, g, kg.triples)
-        paths.append(path)
-    _write_manifest(out, args, paths)
-    return 0
+    names = ["train.tsv", "valid.tsv", "test.tsv"]
+    for name, kg in zip(names, (split.train, split.valid, split.test)):
+        write_triples(_out(args, name), g, kg.triples)
+    return names
 
 
 def cmd_sample_queries(args):
     g = _load_graph(args)
     split = split_edges(g, g.private, args.seed)
     qtypes = QUERY_TYPES if args.qtype == "all" else (args.qtype,)
-    out = _ensure_out(args)
-    paths = []
-    pool = []
+    names, pool = [], []
     for qtype in qtypes:
         queries = sample_queries(split, qtype, args.n, args.seed, args.mode)
         pool.extend(queries)
-        path = os.path.join(out, "queries-%s.tsv" % qtype)
-        write_benchmark(path, queries, g)
-        paths.append(path)
-    stats_path = os.path.join(out, "stats.tsv")
-    with open(stats_path, "w", encoding="utf-8") as f:
+        names.append("queries-%s.tsv" % qtype)
+        write_benchmark(_out(args, names[-1]), queries, g)
+    with open(_out(args, "stats.tsv"), "w", encoding="utf-8") as f:
         f.write(format_stats(stats(pool)))
-    paths.append(stats_path)
-    _write_manifest(out, args, paths)
-    return 0
+    return names + ["stats.tsv"]
 
 
 def _benchmark_files(path) -> list:
@@ -146,13 +133,9 @@ def cmd_train(args):
     trace = train(model, queries, g.private, config,
                   progress=lambda e, lu, lp, l: print(
                       "epoch %d  L_u=%.4f  L_p=%.4f  L=%.4f" % (e, lu, lp, l), file=sys.stderr))
-    out = _ensure_out(args)
-    ckpt = os.path.join(out, "model.ckpt")
-    model.save(ckpt)
-    trace_path = os.path.join(out, "trace.csv")
-    trace.write_csv(trace_path)
-    _write_manifest(out, args, [ckpt, trace_path])
-    return 0
+    model.save(_out(args, "model.ckpt"))
+    trace.write_csv(_out(args, "trace.csv"))
+    return ["model.ckpt", "trace.csv"]
 
 
 def cmd_eval(args):
@@ -165,15 +148,10 @@ def cmd_eval(args):
     if args.protection == "noise":
         noise = NoiseConfig(sigma=args.sigma, seed=args.seed)
     report = evaluate_model(model, queries, noise)
-    out = _ensure_out(args)
-    path = os.path.join(out, "report.tsv")
-    with open(path, "w", encoding="utf-8") as f:
+    with open(_out(args, "report.tsv"), "w", encoding="utf-8") as f:
         f.write(report.to_tsv())
-    with open(os.path.join(out, "ranks.json"), "w", encoding="utf-8") as f:
-        json.dump({"%s/%s" % k: v for k, v in report.ranks.items()}, f, sort_keys=True)
-        f.write("\n")
-    _write_manifest(out, args, [path, os.path.join(out, "ranks.json")])
-    return 0
+    _write_json(_out(args, "ranks.json"), {"%s/%s" % k: v for k, v in report.ranks.items()})
+    return ["report.tsv", "ranks.json"]
 
 
 def cmd_audit(args):
@@ -184,7 +162,6 @@ def cmd_audit(args):
                     key=lambda v: g.vertex_name(v)):
         label = "private" if v in tagged.private_members else "public"
         print("%s\t%s" % (g.vertex_name(v), label))
-    return 0
 
 
 def _read_report_tsv(path) -> list[list[str]]:
@@ -202,12 +179,9 @@ def cmd_report(args):
         for r in rows[1:]:
             b = base.get(tuple(r[:2]), 0.0)
             r.append("%.1f%%" % (100.0 * float(r[mrr]) / b) if b > 0 else "n/a")
-    out = _ensure_out(args)
-    path = os.path.join(out, "report-merged.tsv")
-    with open(path, "w", encoding="utf-8") as f:
+    with open(_out(args, "report-merged.tsv"), "w", encoding="utf-8") as f:
         f.write("".join("\t".join(r) + "\n" for r in rows))
-    _write_manifest(out, args, [path])
-    return 0
+    return ["report-merged.tsv"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,40 +189,34 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="Privacy-aware neural graph query pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def graph_flags(p, private_required=False):
-        p.add_argument("--graph", required=True, help="triple TSV file")
-        p.add_argument("--schema", required=True, help="relation-kind TSV file")
-        p.add_argument("--private", required=private_required, help="private-edge TSV file")
+    def command(name, func, help, graph=True, private_required=False, seed=True, out=True):
+        """A subcommand with the shared flags it takes."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if graph:
+            p.add_argument("--graph", required=True, help="triple TSV file")
+            p.add_argument("--schema", required=True, help="relation-kind TSV file")
+            p.add_argument("--private", required=private_required, help="private-edge TSV file")
+        if seed:
+            p.add_argument("--seed", type=int, required=True)
+        if out:
+            p.add_argument("--out", required=True)
+        return p
 
-    p = sub.add_parser("ingest", help="load and validate a graph")
-    graph_flags(p)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
+    command("ingest", cmd_ingest, "load and validate a graph", seed=False)
 
-    p = sub.add_parser("privatize", help="sample private attribute edges")
-    graph_flags(p)
+    p = command("privatize", cmd_privatize, "sample private attribute edges")
     p.add_argument("--n-private", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_privatize)
 
-    p = sub.add_parser("split", help="8:1:1 cumulative edge split")
-    graph_flags(p, private_required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_split)
+    command("split", cmd_split, "8:1:1 cumulative edge split", private_required=True)
 
-    p = sub.add_parser("sample-queries", help="sample benchmark queries")
-    graph_flags(p, private_required=True)
+    p = command("sample-queries", cmd_sample_queries, "sample benchmark queries",
+                private_required=True)
     p.add_argument("--qtype", default="all", choices=("all",) + QUERY_TYPES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", default=RELAXED, choices=(RELAXED, STRICT))
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample_queries)
 
-    p = sub.add_parser("train", help="train an encoder")
-    graph_flags(p, private_required=True)
+    p = command("train", cmd_train, "train an encoder", private_required=True)
     p.add_argument("--benchmark", required=True, help="directory of queries-*.tsv")
     p.add_argument("--model", required=True, choices=tuple(ENCODERS))
     defaults = TrainConfig()
@@ -260,45 +228,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--particles", type=int, default=DEFAULT_PARTICLES)
     p.add_argument("--privacy-direction", default=defaults.privacy_direction,
                    choices=(REVERSE_ONLY, BOTH))
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    graph_flags(p, private_required=True)
+    p = command("eval", cmd_eval, "evaluate a checkpoint", private_required=True)
     p.add_argument("--benchmark", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--protection", default="none", choices=("none", "noise"))
     p.add_argument("--sigma", type=float)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("audit", help="tag the answers of one query")
-    graph_flags(p)
+    p = command("audit", cmd_audit, "tag the answers of one query", seed=False, out=False)
     p.add_argument("--query", required=True, help="query s-expression")
     p.add_argument("--mode", default=RELAXED, choices=(RELAXED, STRICT))
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("report", help="merge eval reports with baseline ratios")
+    p = command("report", cmd_report, "merge eval reports with baseline ratios",
+                graph=False, seed=False)
     p.add_argument("--eval-report", required=True)
     p.add_argument("--baseline")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except SystemExit:
-        raise
+        outputs = args.func(args)
+        if outputs is not None:
+            _write_manifest(args, outputs)
     except Exception as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

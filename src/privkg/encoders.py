@@ -63,11 +63,13 @@ class Encoder:
     kind = "base"
 
     def __init__(self, graph: KnowledgeGraph, dim: int = DEFAULT_DIM, seed: int = 0,
-                 n_particles: int = DEFAULT_PARTICLES, alpha: float = DEFAULT_ALPHA):
+                 n_particles: int = DEFAULT_PARTICLES):
+        if dim < 1 or n_particles < 1:
+            raise EncoderError("dim and n_particles must be >= 1, got %r and %r"
+                               % (dim, n_particles))
         self.graph = graph
         self.dim = dim
         self.n_particles = n_particles
-        self.alpha = alpha
         self.store = ParameterStore()
         rng = np.random.default_rng(seed)
         self._build(rng)
@@ -172,8 +174,7 @@ class Encoder:
 
     def manifest(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "n_particles": self.n_particles,
-                "alpha": self.alpha, "n_vertices": self.graph.num_vertices(),
-                "n_relations": len(self.graph.relations), **_vocabulary_digests(self.graph)}
+                **_vocabulary_digests(self.graph)}
 
     def save(self, path) -> None:
         self.store.save(path, header_extra=json.dumps(self.manifest(), sort_keys=True))
@@ -195,7 +196,7 @@ def load_encoder(path, graph: KnowledgeGraph) -> "Encoder":
             raise EncoderError("checkpoint vocabulary does not match the graph: %s differs"
                                % key)
     model = make_encoder(manifest["kind"], graph, dim=manifest["dim"],
-                         n_particles=manifest["n_particles"], alpha=manifest["alpha"])
+                         n_particles=manifest["n_particles"])
     model.store.load(path)
     return model
 
@@ -236,6 +237,7 @@ class GQEEncoder(Encoder):
 
 class Q2BEncoder(Encoder):
     kind = "q2b"
+    alpha = DEFAULT_ALPHA
 
     def _build(self, rng):
         nv, nr, d = self.graph.num_vertices(), len(self.graph.relations), self.dim
@@ -349,9 +351,9 @@ ENCODERS = {"gqe": GQEEncoder, "q2b": Q2BEncoder, "q2p": Q2PEncoder}
 
 
 def make_encoder(kind: str, graph: KnowledgeGraph, dim: int = DEFAULT_DIM, seed: int = 0,
-                 n_particles: int = DEFAULT_PARTICLES, alpha: float = DEFAULT_ALPHA) -> Encoder:
+                 n_particles: int = DEFAULT_PARTICLES) -> Encoder:
     try:
         cls = ENCODERS[kind]
     except KeyError:
         raise EncoderError("unknown encoder kind %r (expected gqe, q2b, or q2p)" % kind) from None
-    return cls(graph, dim=dim, seed=seed, n_particles=n_particles, alpha=alpha)
+    return cls(graph, dim=dim, seed=seed, n_particles=n_particles)

@@ -218,11 +218,3 @@ QUERY_TYPES = tuple(dict.fromkeys(TEMPLATES.values()))
 def classify_type(q: QueryNode) -> str:
     """The benchmark template ``q`` instantiates, else "other"."""
     return TEMPLATES.get(shape(q), "other")
-
-
-def depth(q: QueryNode) -> int:
-    if isinstance(q, Anchor):
-        return 1
-    if isinstance(q, Projection):
-        return 1 + depth(q.child)
-    return 1 + max(depth(c) for c in q.children)

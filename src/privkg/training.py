@@ -39,8 +39,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.beta < 0:
             raise TrainError("beta must be non-negative")
-        if self.epochs < 1:
-            raise TrainError("epochs must be >= 1")
+        if not self.lr > 0:
+            raise TrainError("lr must be positive, got %r" % self.lr)
+        if self.epochs < 1 or self.batch_size < 1:
+            raise TrainError("epochs and batch_size must be >= 1")
+        if self.private_batch < 0 or self.candidate_sample < 0:
+            raise TrainError("private_batch and candidate_sample must be non-negative")
         if self.privacy_direction not in (REVERSE_ONLY, BOTH):
             raise TrainError("privacy direction must be %r or %r" % (REVERSE_ONLY, BOTH))
 

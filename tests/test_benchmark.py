@@ -40,6 +40,11 @@ def test_sample_private_edges_empty_and_too_many(kg):
         sample_private_edges(kg, len(kg.attribute_triples()) + 1, seed=1)
 
 
+def test_sample_private_edges_rejects_a_negative_count(kg):
+    with pytest.raises(BenchmarkError, match="-1"):
+        sample_private_edges(kg, -1, seed=1)
+
+
 def test_split_ratio_and_conservation():
     g = random_graph(9, n_vertices=40, n_triples=110, n_attributes=3)
     private = sample_private_edges(g, 10, seed=9)

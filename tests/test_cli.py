@@ -79,6 +79,21 @@ def test_bad_input_returns_1(tmp_path, capsys):
                "--out", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+def test_out_of_range_learning_rate_returns_1(tmp_path, capsys):
+    graph, schema = _write_synthetic(tmp_path)
+    _run_pipeline(tmp_path, graph, schema, "a")
+    out = tmp_path / "a"
+    rc = main(["train", "--graph", graph, "--schema", schema,
+               "--private", str(out / "priv" / "private.tsv"), "--benchmark", str(out / "queries"),
+               "--model", "gqe", "--dim", "8", "--lr", "-0.02", "--seed", "4",
+               "--out", str(out / "train")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "lr" in line
+    assert not (out / "train" / "model.ckpt").exists()
 
 
 def test_split_outputs_deterministic(tmp_path):
@@ -203,7 +218,7 @@ def test_pipeline_artifacts_pinned_and_repeatable(tmp_path):
 # and the merged report, run on the benchmark that _run_pipeline builds
 
 MODEL_DIGESTS = {
-    "train/model.ckpt": "d9028ee19f718a71f1e62e3b32af10e1817f3fbb8456edcaa2b607e8f42dcebf",
+    "train/model.ckpt": "270cb8f1b0516f2d1f7f96110fd21e61ec9e5cd9e51fe647f016f8587b958414",
     "train/trace.csv": "0735489e0d88c5099bf8da112965cab258a30e104b8d93ae0c5984da8f4e115e",
     "eval/report.tsv": "e8311d35743efe0228b2f11afdd817dd49394742f240b147c1408f1d98e2772b",
     "eval/ranks.json": "b087690a2eb898cf83ea73800c279d71388ea3cfabf5d2ce0bfe3b470c4c80d4",
@@ -273,3 +288,23 @@ def test_report_manifest_keeps_both_report_digests(tmp_path):
         "baseline": hashlib.sha256((out / "noise" / "report.tsv").read_bytes()).hexdigest(),
     }
     assert inputs["eval_report"] != inputs["baseline"]
+
+
+def test_every_manifest_lists_the_files_its_command_wrote(tmp_path, monkeypatch):
+    graph, schema = _write_synthetic(tmp_path)
+    _run_pipeline(tmp_path, graph, schema, "a")
+    _run_model(tmp_path / "a", graph, schema)
+    out = tmp_path / "a"
+    stages = ("priv", "ingest", "split", "queries", "train", "eval", "noise", "report")
+    assert sorted(os.listdir(out)) == sorted(stages)
+    for stage in stages:
+        written = sorted(os.listdir(out / stage))
+        written.remove("manifest.json")
+        assert _manifest(out / stage)["outputs"] == written
+    # audit prints its answer and writes nothing, under --out or elsewhere
+    monkeypatch.chdir(tmp_path)
+    before = sorted(p for p in tmp_path.rglob("*"))
+    assert main(["audit", "--graph", graph, "--schema", schema,
+                 "--private", str(out / "priv" / "private.tsv"),
+                 "--query", "(p rel0 (a e000))"]) == 0
+    assert sorted(p for p in tmp_path.rglob("*")) == before

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from privkg import autodiff as ad
-from privkg.encoders import (BoxEmbedding, EncoderError, ParticleEmbedding,
+from privkg.encoders import (ENCODERS, BoxEmbedding, EncoderError, ParticleEmbedding,
                              VectorEmbedding, load_encoder, make_encoder)
 from privkg.graph import from_named_triples
 from privkg.queries import Anchor, Intersection, Projection, parse_query
@@ -520,6 +521,36 @@ def test_checkpoint_roundtrip(tmp_path, toy_graph):
         assert back.kind == kind
         for name, p in m.store.params.items():
             assert np.array_equal(p.data, back.store[name].data)
+
+
+def test_checkpoint_header_keeps_only_what_load_reads(tmp_path, toy_graph):
+    m = make_encoder("q2b", toy_graph, dim=4, seed=0)
+    path = tmp_path / "m.ckpt"
+    m.save(path)
+    with open(path, encoding="utf-8") as f:
+        header = json.loads(ad.read_checkpoint_header(f))
+    assert set(header) == {"kind", "dim", "n_particles", "vertex_digest", "relation_digest"}
+    # a checkpoint written with the older header, which also recorded alpha
+    # and the vocabulary sizes, still loads
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    old = dict(header, alpha=m.alpha, n_vertices=toy_graph.num_vertices(),
+               n_relations=len(toy_graph.relations))
+    path.write_text("%s %s\n" % (ad.CHECKPOINT_TAG, json.dumps(old, sort_keys=True))
+                    + "".join(lines[1:]), encoding="utf-8")
+    back = load_encoder(path, toy_graph)
+    for name, p in m.store.params.items():
+        assert np.array_equal(p.data, back.store[name].data)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_make_encoder_rejects_bad_sizes_before_drawing(kind, toy_graph, monkeypatch):
+    def no_draw(self, rng):
+        raise AssertionError("parameters drawn before the sizes were checked")
+    for cls in ENCODERS.values():
+        monkeypatch.setattr(cls, "_build", no_draw)
+    for bad in ({"dim": 0}, {"dim": -4}, {"n_particles": 0}):
+        with pytest.raises(EncoderError, match="dim and n_particles"):
+            make_encoder(kind, toy_graph, **bad)
 
 
 def test_checkpoint_vocabulary_mismatch(tmp_path, toy_graph):

@@ -1,12 +1,22 @@
 """Every name a ``privkg`` module imports is used in that module, and so is
-every private name it defines at module level."""
+every private name it defines at module level. Every public top-level
+function and class has a reader in the program (``src/privkg``,
+``perfbench/`` or ``scripts/``) unless it is on an allowlist with a reason."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "privkg"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "privkg"
+
+# public names the program itself does not read, each kept for a stated reason
+UNREAD_PUBLIC_ALLOWED = {
+    "brute_force_oracle": "the independent oracle of acceptance criterion 1",
+    "calibrate_noise_sigma": "the noise calibration of acceptance criterion 6",
+    "validation_subset": "the validation answers, for early stopping (ROADMAP item 4)",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -46,6 +56,28 @@ def unused_private_names(source: str) -> list[str]:
             if not any(name in loads for other, loads in reads if other is not stmt)]
 
 
+def _loads(node) -> set:
+    """Names that ``node`` reads, as a bare name or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def unread_public_names(modules: dict, readers=()) -> list[str]:
+    """Public top-level functions and classes of ``modules`` (file name ->
+    source) that no other top-level statement of ``modules``, and no source
+    in ``readers``, reads; a function calling itself does not count."""
+    defined, reads = [], []
+    for name, source in modules.items():
+        for stmt in ast.parse(source).body:
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not stmt.name.startswith("_")):
+                defined.append((name, stmt))
+            reads.append((stmt, _loads(stmt)))
+    reads += [(None, _loads(ast.parse(source))) for source in readers]
+    return ["%s line %d: %s" % (name, stmt.lineno, stmt.name) for name, stmt in defined
+            if not any(stmt.name in loads for other, loads in reads if other is not stmt)]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -54,6 +86,16 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_public_name_has_a_reader():
+    modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    readers = [p.read_text(encoding="utf-8")
+               for d in ("perfbench", "scripts") for p in sorted((ROOT / d).glob("*.py"))]
+    unread = unread_public_names(modules, readers)
+    assert [u for u in unread if u.rsplit(": ", 1)[1] not in UNREAD_PUBLIC_ALLOWED] == []
+    # an allowlisted name that gains a reader leaves the list
+    assert sorted(u.rsplit(": ", 1)[1] for u in unread) == sorted(UNREAD_PUBLIC_ALLOWED)
 
 
 def test_guard_flags_an_unused_import():
@@ -67,3 +109,14 @@ def test_guard_flags_an_unread_private_name():
               "class _C:\n    pass\n"
               "def g():\n    return _a\n")
     assert unused_private_names(source) == ["line 2: _b", "line 4: _f", "line 6: _C"]
+
+
+def test_guard_flags_an_unread_public_name():
+    modules = {"a.py": ("def f(n):\n    \"\"\"g, h and C are named here.\"\"\"\n"
+                        "    return f(n - 1)\n"
+                        "def g():\n    pass\n"
+                        "class C:\n    pass\n"
+                        "def _p():\n    return g\n"),
+               "b.py": "def h():\n    pass\nh = None\n"}
+    assert unread_public_names(modules) == ["a.py line 1: f", "a.py line 6: C", "b.py line 1: h"]
+    assert unread_public_names(modules, ["import a\na.f(a.C)\nh()\n"]) == []

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from privkg.queries import (FORWARD, QUERY_TYPES, TEMPLATES, Anchor, Intersection,
-                            Projection, QueryError, Union, classify_type, depth,
+                            Projection, QueryError, Union, classify_type,
                             parse_query, serialize, shape, to_dnf)
 from privkg.symbolic import evaluate
 from .conftest import random_graph, random_query
@@ -111,6 +111,14 @@ def test_dnf_preserves_semantics_and_depth(seed):
         union = frozenset().union(*[evaluate(g, d) for d in dnf])
         assert union == evaluate(g, q)
         assert all(depth(d) <= depth(q) for d in dnf)
+
+
+def depth(q) -> int:
+    if isinstance(q, Anchor):
+        return 1
+    if isinstance(q, Projection):
+        return 1 + depth(q.child)
+    return 1 + max(depth(c) for c in q.children)
 
 
 def _has_union(node):

@@ -202,6 +202,11 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(TrainError):
         TrainConfig(privacy_direction="sideways")
+    for bad in ({"lr": -0.02}, {"lr": 0.0}, {"lr": math.nan}, {"batch_size": 0},
+                {"private_batch": -1}, {"candidate_sample": -3}):
+        with pytest.raises(TrainError, match=next(iter(bad))):
+            TrainConfig(**bad)
+    TrainConfig(private_batch=0, candidate_sample=0)
     with pytest.raises(TrainError):
         NoiseConfig(sigma=-1.0)
 
