@@ -475,7 +475,6 @@ class ParameterStore:
 
     def __init__(self):
         self.params: dict[str, Tensor] = {}
-        self._state: dict[str, dict] = {}
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self.params:

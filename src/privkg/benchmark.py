@@ -151,6 +151,8 @@ def sample_queries(split: GraphSplit, qtype: str, n: int, seed: int,
     """
     if qtype not in QUERY_TYPES:
         raise BenchmarkError("unknown query type %r" % qtype)
+    if n < 0:
+        raise BenchmarkError("requested %d queries; n must be non-negative" % n)
     # string seeds hash via sha512, stable across interpreter runs
     rng = random.Random("%d:%s" % (seed, qtype))
     out: list[BenchmarkQuery] = []

@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import __version__
-from .benchmark import (read_benchmark, sample_private_edges, sample_queries,
+from .benchmark import (BenchmarkError, read_benchmark, sample_private_edges, sample_queries,
                         split_edges, stats, format_stats, write_benchmark)
 from .encoders import DEFAULT_DIM, DEFAULT_PARTICLES, ENCODERS, load_encoder, make_encoder
 from .evaluation import evaluate_model
@@ -116,9 +116,12 @@ def _benchmark_files(path) -> list:
 
 
 def _read_benchmark_dir(path, g):
-    queries = [bq for p in _benchmark_files(path) for bq in read_benchmark(p, g)]
+    files = _benchmark_files(path)
+    if not files:
+        raise BenchmarkError("no queries-*.tsv files under %s" % path)
+    queries = [bq for p in files for bq in read_benchmark(p, g)]
     if not queries:
-        raise SystemExit("no queries-*.tsv files under %s" % path)
+        raise BenchmarkError("the queries-*.tsv files under %s hold no queries" % path)
     return queries
 
 
@@ -139,14 +142,10 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    if args.protection == "noise" and args.sigma is None:
-        raise SystemExit("--sigma is required with --protection noise")
+    noise = NoiseConfig(sigma=args.sigma, seed=args.seed)
     g = _load_graph(args)
     queries = _read_benchmark_dir(args.benchmark, g)
     model = load_encoder(args.checkpoint, g)
-    noise = None
-    if args.protection == "noise":
-        noise = NoiseConfig(sigma=args.sigma, seed=args.seed)
     report = evaluate_model(model, queries, noise)
     with open(_out(args, "report.tsv"), "w", encoding="utf-8") as f:
         f.write(report.to_tsv())
@@ -232,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("eval", cmd_eval, "evaluate a checkpoint", private_required=True)
     p.add_argument("--benchmark", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--protection", default="none", choices=("none", "noise"))
-    p.add_argument("--sigma", type=float)
+    p.add_argument("--sigma", type=float, default=NoiseConfig().sigma,
+                   help="noise baseline: Gaussian perturbation scale (0 = none)")
 
     p = command("audit", cmd_audit, "tag the answers of one query", seed=False, out=False)
     p.add_argument("--query", required=True, help="query s-expression")

@@ -98,17 +98,16 @@ def evaluate_model(model: Encoder, queries: list[BenchmarkQuery],
                    noise: NoiseConfig | None = None) -> EvalReport:
     """Score every query once and rank its evaluation targets.
 
-    ``noise`` switches on the perturbation baseline (one draw per query)."""
-    rng = np.random.default_rng(noise.seed) if noise is not None else None
+    ``noise`` is the perturbation baseline (one draw per query); the default,
+    sigma 0, draws nothing and leaves the scores as they are."""
+    noise = noise if noise is not None else NoiseConfig()
+    rng = np.random.default_rng(noise.seed)
     report = EvalReport()
     for bq in queries:
         public, private, known = query_targets(bq)
         if not public and not private:
             continue
-        if noise is not None:
-            scores = noisy_scores_all(model, bq.query, noise, rng)
-        else:
-            scores = model.scores_all(model.encode(bq.query)).data
+        scores = noisy_scores_all(model, bq.query, noise, rng)
         for cls, targets in zip(CLASSES, (public, private)):
             for t in sorted(targets):
                 r = rank(scores, t, frozenset(known) - {t})

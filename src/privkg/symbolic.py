@@ -1,10 +1,10 @@
 """Exact set-semantics query evaluation plus privacy-tagged evaluation.
 
-``evaluate`` walks the query DAG bottom-up over the adjacency indices.
-``evaluate_tagged`` additionally splits every answer into publicly-derivable
-vs privacy-threatening members. ``brute_force_oracle`` re-derives answers by
-enumerating variable assignments over the raw triple set and shares no code
-with the traversal path.
+One walk goes bottom-up over the query DAG and the adjacency indices and
+yields each answer set with its privacy-threatening part. ``evaluate_tagged``
+splits it into public and private members; ``evaluate`` keeps the full set.
+``brute_force_oracle`` re-derives answers by enumerating variable assignments
+over the raw triple set and shares no code with the traversal path.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ RELAXED = "relaxed"
 STRICT = "strict"
 
 ORACLE_VERTEX_LIMIT = 1000
+
+_EMPTY = frozenset()
 
 
 class EvalError(Exception):
@@ -43,32 +45,7 @@ def _image(g: KnowledgeGraph, members, rel, direction, view) -> frozenset[int]:
 
 def evaluate(g: KnowledgeGraph, q: QueryNode) -> frozenset[int]:
     """Answer set of ``q`` on ``g``, private triples included."""
-    return _evaluate(g, q, {})
-
-
-# The recursions are module-level functions that take the memo as an argument:
-# a nested function that calls itself is a reference cycle, and every call
-# would leave its memo and closure for the cyclic garbage collector. The memo
-# is keyed by id(node): a frozen dataclass hashes its whole subtree on every
-# lookup, and the query holds every node alive for the whole call.
-
-
-def _evaluate(g, node, memo):
-    if id(node) in memo:
-        return memo[id(node)]
-    if isinstance(node, Anchor):
-        result = frozenset((node.vertex,))
-    elif isinstance(node, Projection):
-        result = _image(g, _evaluate(g, node.child, memo), node.rel, node.direction, "full")
-    elif isinstance(node, Intersection):
-        sets = [_evaluate(g, c, memo) for c in node.children]
-        result = frozenset.intersection(*sets)
-    elif isinstance(node, Union):
-        result = frozenset().union(*[_evaluate(g, c, memo) for c in node.children])
-    else:
-        raise EvalError("not a query node: %r" % (node,))
-    memo[id(node)] = result
-    return result
+    return _evaluate_tagged(g, q, RELAXED, {})[0]
 
 
 def evaluate_tagged(g: KnowledgeGraph, q: QueryNode, mode: str = RELAXED) -> TaggedAnswerSet:
@@ -89,31 +66,36 @@ def evaluate_tagged(g: KnowledgeGraph, q: QueryNode, mode: str = RELAXED) -> Tag
     return TaggedAnswerSet(public_members=full - priv, private_members=priv)
 
 
+# The walk is a module-level function that takes the memo as an argument: a
+# nested function that calls itself is a reference cycle, and every call would
+# leave its memo and closure for the cyclic garbage collector. The memo is
+# keyed by id(node): a frozen dataclass hashes its whole subtree on every
+# lookup, and the query holds every node alive for the whole call.
+
+
 def _evaluate_tagged(g, node, mode, memo):
     """(full, private) answer sets of ``node``; public = full - private."""
     if id(node) in memo:
         return memo[id(node)]
     if isinstance(node, Anchor):
-        result = (frozenset((node.vertex,)), frozenset())
+        result = (frozenset((node.vertex,)), _EMPTY)
     elif isinstance(node, Projection):
         child_full, child_priv = _evaluate_tagged(g, node.child, mode, memo)
-        child_pub = child_full - child_priv
         full = _image(g, child_full, node.rel, node.direction, "full")
-        pub = _image(g, child_pub, node.rel, node.direction, "public")
-        priv = full - pub
+        priv = _EMPTY
+        if g.private:  # without private triples the public image is the full one
+            priv = full - _image(g, child_full - child_priv, node.rel, node.direction, "public")
         if mode == STRICT:
             priv = priv | _image(g, child_priv, node.rel, node.direction, "full")
         result = (full, priv)
-    elif isinstance(node, Intersection):
-        parts = [_evaluate_tagged(g, c, mode, memo) for c in node.children]
-        full = frozenset.intersection(*[f for f, _ in parts])
-        pub = frozenset.intersection(*[f - p for f, p in parts])
-        result = (full, full - pub)
-    elif isinstance(node, Union):
-        parts = [_evaluate_tagged(g, c, mode, memo) for c in node.children]
-        full = frozenset().union(*[f for f, _ in parts])
-        pub = frozenset().union(*[f - p for f, p in parts])
-        result = (full, full - pub)
+    elif isinstance(node, (Intersection, Union)):
+        combine = frozenset.intersection if isinstance(node, Intersection) else frozenset.union
+        fulls, privs = zip(*[_evaluate_tagged(g, c, mode, memo) for c in node.children])
+        full = combine(*fulls)
+        priv = _EMPTY
+        if any(privs):  # public = the children's public parts, combined alike
+            priv = full - combine(*map(frozenset.difference, fulls, privs))
+        result = (full, priv)
     else:
         raise EvalError("not a query node: %r" % (node,))
     memo[id(node)] = result

@@ -55,8 +55,8 @@ class NoiseConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise TrainError("sigma must be non-negative")
+        if not 0 <= self.sigma < float("inf"):
+            raise TrainError("sigma must be finite and non-negative, got %r" % self.sigma)
 
 
 @dataclass

@@ -82,6 +82,11 @@ def test_sample_queries_empty(split):
     assert sample_queries(split, "1p", 0, seed=0) == []
 
 
+def test_sample_queries_rejects_a_negative_n(split):
+    with pytest.raises(BenchmarkError, match="-1"):
+        sample_queries(split, "1p", -1, seed=0)
+
+
 def test_sample_queries_unknown_type(split):
     with pytest.raises(BenchmarkError):
         sample_queries(split, "9p", 1, seed=0)

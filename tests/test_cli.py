@@ -157,13 +157,52 @@ def test_full_pipeline(tmp_path, capsys):
         assert row.endswith("\t100.0%")
 
 
-def test_eval_noise_requires_sigma(tmp_path):
-    graph, schema = _write_toy(tmp_path)
-    with pytest.raises(SystemExit):
-        main(["eval", "--graph", graph, "--schema", schema,
-              "--private", str(tmp_path / "nope.tsv"), "--benchmark", ".",
-              "--checkpoint", "x", "--protection", "noise",
-              "--seed", "0", "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+def test_eval_rejects_a_bad_sigma_before_reading_files(tmp_path, capsys, sigma):
+    # every input is missing, so only a check made before reading can name sigma
+    rc = main(["eval", "--graph", str(tmp_path / "g.tsv"), "--schema", str(tmp_path / "s.tsv"),
+               "--private", str(tmp_path / "p.tsv"), "--benchmark", str(tmp_path),
+               "--checkpoint", "x", "--sigma", sigma, "--seed", "0",
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: sigma must be finite and non-negative")
+    assert not (tmp_path / "o").exists()
+
+
+def _privatize(tmp_path):
+    """The synthetic graph's files and a private-edge file beside them."""
+    graph, schema = _write_synthetic(tmp_path)
+    assert main(["privatize", "--graph", graph, "--schema", schema, "--n-private", "6",
+                 "--seed", "3", "--out", str(tmp_path / "priv")]) == 0
+    return ["--graph", graph, "--schema", schema,
+            "--private", str(tmp_path / "priv" / "private.tsv")]
+
+
+def test_sample_queries_rejects_a_negative_n(tmp_path, capsys):
+    base = _privatize(tmp_path)
+    rc = main(["sample-queries"] + base + ["--n", "-1", "--seed", "2",
+                                           "--out", str(tmp_path / "q")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "-1" in line
+    assert not (tmp_path / "q").exists()
+
+
+def test_empty_benchmark_directory_returns_1(tmp_path, capsys):
+    base = _privatize(tmp_path)
+    (tmp_path / "none").mkdir()
+    assert main(["sample-queries"] + base + ["--n", "0", "--seed", "2",
+                                             "--out", str(tmp_path / "zero")]) == 0
+    capsys.readouterr()
+    for bench, message in (("none", "no queries-*.tsv files under"),
+                           ("zero", "the queries-*.tsv files under")):
+        rc = main(["train"] + base + ["--benchmark", str(tmp_path / bench), "--model", "gqe",
+                                      "--seed", "4", "--out", str(tmp_path / "train")])
+        assert rc == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: " + message)
+        assert not (tmp_path / "train").exists()
 
 
 # sha256 pins of every artifact of the CLI benchmark build on the synthetic
@@ -237,8 +276,7 @@ def _run_model(out, graph, schema):
                                      "--out", str(out / "train")],
                  ["eval"] + base + ["--checkpoint", ckpt, "--seed", "5",
                                     "--out", str(out / "eval")],
-                 ["eval"] + base + ["--checkpoint", ckpt, "--protection", "noise",
-                                    "--sigma", "0.5", "--seed", "6",
+                 ["eval"] + base + ["--checkpoint", ckpt, "--sigma", "0.5", "--seed", "6",
                                     "--out", str(out / "noise")],
                  ["report", "--eval-report", str(out / "eval" / "report.tsv"),
                   "--baseline", str(out / "noise" / "report.tsv"),
@@ -257,6 +295,20 @@ def test_model_artifacts_pinned_and_repeatable(tmp_path):
         runs.append(_run_model(tmp_path / name, graph, schema))
     assert runs[0] == runs[1]
     assert {f: hashlib.sha256(b).hexdigest() for f, b in runs[0].items()} == MODEL_DIGESTS
+
+
+def test_eval_without_sigma_is_the_sigma_0_baseline(tmp_path):
+    graph, schema = _write_synthetic(tmp_path)
+    _run_pipeline(tmp_path, graph, schema, "a")
+    out = tmp_path / "a"
+    _run_model(out, graph, schema)
+    assert main(["eval", "--graph", graph, "--schema", schema,
+                 "--private", str(out / "priv" / "private.tsv"),
+                 "--benchmark", str(out / "queries"), "--checkpoint",
+                 str(out / "train" / "model.ckpt"), "--sigma", "0", "--seed", "5",
+                 "--out", str(out / "zero")]) == 0
+    for name in ("report.tsv", "ranks.json"):
+        assert (out / "zero" / name).read_bytes() == (out / "eval" / name).read_bytes()
 
 
 def _manifest(path):

@@ -1,7 +1,8 @@
 """Every name a ``privkg`` module imports is used in that module, and so is
-every private name it defines at module level. Every public top-level
-function and class has a reader in the program (``src/privkg``,
-``perfbench/`` or ``scripts/``) unless it is on an allowlist with a reason."""
+every private name it defines at module level and every private attribute
+it stores. Every public top-level function and class has a reader in the
+program (``src/privkg``, ``perfbench/`` or ``scripts/``) unless it is on an
+allowlist with a reason."""
 
 import ast
 import pathlib
@@ -56,6 +57,22 @@ def unused_private_names(source: str) -> list[str]:
             if not any(name in loads for other, loads in reads if other is not stmt)]
 
 
+def unread_private_attributes(source: str) -> list[str]:
+    """Private (``_x``, not dunder) attributes that the module stores, as
+    ``obj._x = ...``, and never reads as ``obj._x``; ``obj._x += 1`` stores
+    and does not count as a read."""
+    stored, read = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") \
+                and not node.attr.startswith("__"):
+            if isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.attr, node.lineno)
+            else:
+                read.add(node.attr)
+    return ["line %d: %s" % (line, name) for name, line in sorted(stored.items(), key=lambda x: x[1])
+            if name not in read]
+
+
 def _loads(node) -> set:
     """Names that ``node`` reads, as a bare name or as an attribute."""
     return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
@@ -88,6 +105,11 @@ def test_no_unread_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unread_private_attributes(path):
+    assert unread_private_attributes(path.read_text(encoding="utf-8")) == []
+
+
 def test_every_public_name_has_a_reader():
     modules = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     readers = [p.read_text(encoding="utf-8")
@@ -109,6 +131,16 @@ def test_guard_flags_an_unread_private_name():
               "class _C:\n    pass\n"
               "def g():\n    return _a\n")
     assert unused_private_names(source) == ["line 2: _b", "line 4: _f", "line 6: _C"]
+
+
+def test_guard_flags_an_unread_private_attribute():
+    source = ("class C:\n"
+              "    def __init__(self):\n"
+              "        self._a = {}\n        self._b = 1\n        self.c = 2\n"
+              "        self.__d = 3\n        self._e: int = 4\n"
+              "    def f(self, other):\n"
+              "        other._b += 1\n        return self._a\n")
+    assert unread_private_attributes(source) == ["line 4: _b", "line 7: _e"]
 
 
 def test_guard_flags_an_unread_public_name():

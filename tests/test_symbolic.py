@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from privkg.graph import REL, ATTR, Triple, from_named_triples
+from privkg.graph import FORWARD, REL, ATTR, KnowledgeGraph, Triple, from_named_triples
 from privkg.queries import Anchor, Intersection, Projection, parse_query
 from privkg.symbolic import (EvalError, brute_force_oracle, evaluate,
                              evaluate_tagged)
@@ -60,6 +60,27 @@ def test_no_private_triples_means_no_private_answers(toy_graph):
                  "(p LiveIn (i (p WinAward (a Hinton)) (p WinAward (a LeCun))))"):
         tagged = evaluate_tagged(g, parse_query(text, g))
         assert tagged.private_members == frozenset()
+
+
+def test_private_free_graph_makes_no_public_lookup(toy_graph, monkeypatch):
+    views = []
+    neighbors = KnowledgeGraph.neighbors
+
+    def spy(self, v, r, direction=FORWARD, view="full"):
+        views.append(view)
+        return neighbors(self, v, r, direction, view)
+
+    monkeypatch.setattr(KnowledgeGraph, "neighbors", spy)
+    text = "(p LiveIn (u (a Hinton) (i (rp WinAward (a Turing)) (a LeCun))))"
+    public = toy_graph.public_view()
+    q = parse_query(text, public)
+    assert evaluate(public, q) == brute_force_oracle(public, q)
+    for mode in ("relaxed", "strict"):
+        assert evaluate_tagged(public, q, mode).private_members == frozenset()
+    assert views and set(views) == {"full"}
+    # the spy sees the public view where there are private edges to leave out
+    assert evaluate(toy_graph, q) == brute_force_oracle(toy_graph, q)
+    assert "public" in views
 
 
 def test_intersection_tags_dually_present_member_private():

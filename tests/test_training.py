@@ -207,8 +207,10 @@ def test_config_validation():
         with pytest.raises(TrainError, match=next(iter(bad))):
             TrainConfig(**bad)
     TrainConfig(private_batch=0, candidate_sample=0)
-    with pytest.raises(TrainError):
-        NoiseConfig(sigma=-1.0)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(TrainError, match="sigma"):
+            NoiseConfig(sigma=sigma)
+    NoiseConfig(sigma=0.0)
 
 
 # -- the training loop --------------------------------------------------------------
