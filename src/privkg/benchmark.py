@@ -9,6 +9,7 @@ independent generator from (seed, template).
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,7 @@ def _sample_template(g, qtype, rng, vertices):
     if qtype == "pi":
         two = _sample_chain(g, v, 2, rng)
         one = _sample_branches(g, v, 1, rng)
-        if two is None or one is None or two == one[0].child:
+        if two is None or one is None:
             return None
         return Intersection((two, one[0]))
     if qtype in ("ip", "up"):
@@ -182,31 +183,19 @@ def sample_queries(split: GraphSplit, qtype: str, n: int, seed: int,
 # -- statistics -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BenchmarkStats:
-    """Per query type: query count and public/private test answer totals."""
-    queries: dict
-    public_answers: dict
-    private_answers: dict
-
-    def row(self, counts: dict) -> list:
-        return [counts.get(t, 0) for t in QUERY_TYPES] + [sum(counts.values())]
-
-
-def stats(queries: list[BenchmarkQuery]) -> BenchmarkStats:
-    q, pub, priv = {}, {}, {}
+def format_stats(queries: list[BenchmarkQuery]) -> str:
+    """The stats.tsv table: per query type and over all queries, the number of
+    queries and of their public and private test answers."""
+    counts = defaultdict(lambda: [0, 0, 0])
     for bq in queries:
-        q[bq.qtype] = q.get(bq.qtype, 0) + 1
-        pub[bq.qtype] = pub.get(bq.qtype, 0) + len(bq.test_answers.public_members)
-        priv[bq.qtype] = priv.get(bq.qtype, 0) + len(bq.test_answers.private_members)
-    return BenchmarkStats(q, pub, priv)
-
-
-def format_stats(s: BenchmarkStats) -> str:
-    lines = ["\t".join(["Answers"] + list(QUERY_TYPES) + ["All"])]
-    for label, counts in (("Queries", s.queries), ("Public", s.public_answers),
-                          ("Private", s.private_answers)):
-        lines.append("\t".join([label] + [str(c) for c in s.row(counts)]))
+        c = counts[bq.qtype]
+        c[0] += 1
+        c[1] += len(bq.test_answers.public_members)
+        c[2] += len(bq.test_answers.private_members)
+    lines = ["\t".join(["Answers", *QUERY_TYPES, "All"])]
+    for i, label in enumerate(("Queries", "Public", "Private")):
+        row = [counts[t][i] for t in QUERY_TYPES] + [sum(c[i] for c in counts.values())]
+        lines.append("\t".join([label, *map(str, row)]))
     return "\n".join(lines) + "\n"
 
 
@@ -217,7 +206,12 @@ def format_stats(s: BenchmarkStats) -> str:
 
 
 def _names(g, members) -> str:
-    return ",".join(sorted(g.vertex_name(v) for v in members))
+    names = sorted(g.vertex_name(v) for v in members)
+    for name in names:
+        if not name or "," in name:
+            raise BenchmarkError("vertex name %r cannot be written in an answer field: it is"
+                                 " empty or holds a comma" % name)
+    return ",".join(names)
 
 
 def query_line(bq: BenchmarkQuery, g: KnowledgeGraph) -> str:
@@ -249,9 +243,9 @@ def parse_query_line(line: str, g: KnowledgeGraph) -> BenchmarkQuery:
 
 
 def write_benchmark(path, queries: list[BenchmarkQuery], g: KnowledgeGraph) -> None:
+    text = "".join(query_line(bq, g) + "\n" for bq in queries)
     with open(path, "w", encoding="utf-8") as f:
-        for bq in queries:
-            f.write(query_line(bq, g) + "\n")
+        f.write(text)
 
 
 def read_benchmark(path, g: KnowledgeGraph) -> list[BenchmarkQuery]:

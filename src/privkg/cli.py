@@ -17,7 +17,7 @@ import sys
 
 from . import __version__
 from .benchmark import (BenchmarkError, read_benchmark, sample_private_edges, sample_queries,
-                        split_edges, stats, format_stats, write_benchmark)
+                        split_edges, format_stats, write_benchmark)
 from .encoders import DEFAULT_DIM, DEFAULT_PARTICLES, ENCODERS, load_encoder, make_encoder
 from .evaluation import evaluate_model
 from .graph import (load_schema, load_triple_set, load_triples, write_triples)
@@ -106,7 +106,7 @@ def cmd_sample_queries(args):
         names.append("queries-%s.tsv" % qtype)
         write_benchmark(_out(args, names[-1]), queries, g)
     with open(_out(args, "stats.tsv"), "w", encoding="utf-8") as f:
-        f.write(format_stats(stats(pool)))
+        f.write(format_stats(pool))
     return names + ["stats.tsv"]
 
 

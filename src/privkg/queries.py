@@ -12,10 +12,11 @@ Negation is not part of the fragment and is rejected at parse time.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Union as TyUnion
 
-from .graph import BACKWARD, FORWARD, KnowledgeGraph
+from .graph import BACKWARD, FORWARD, GraphError, KnowledgeGraph
 
 
 class QueryError(Exception):
@@ -50,99 +51,73 @@ QueryNode = TyUnion[Anchor, Projection, Intersection, Union]
 # -- parsing -----------------------------------------------------------------
 
 
-def _tokenize(text: str):
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()":
-            tokens.append((c, i))
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-    return tokens
+# a token is a parenthesis or a name: a run of anything else but whitespace
+_NAME = re.compile(r"[^\s()]+")
+_TOKEN = re.compile(r"[()]|" + _NAME.pattern)
 
 
 def parse_query(text: str, g: KnowledgeGraph) -> QueryNode:
     """Parse a query s-expression and resolve names against ``g``."""
-    tokens = _tokenize(text)
+    tokens = [(m.group(), m.start()) for m in _TOKEN.finditer(text)] + [(None, len(text))]
     pos = 0
 
-    def fail(msg, at):
-        raise QueryError("%s at position %d" % (msg, at))
-
-    def expect(tok):
+    def take(want=None):
+        """The next token and its position; ``want`` is "(" or ")", or None for a name."""
         nonlocal pos
-        if pos >= len(tokens) or tokens[pos][0] != tok:
-            at = tokens[pos][1] if pos < len(tokens) else len(text)
-            fail("expected %r" % tok, at)
-        pos += 1
-
-    def atom():
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end of input", len(text))
         tok, at = tokens[pos]
-        if tok in "()":
-            fail("expected a name", at)
+        if tok is None and want != ")":
+            raise QueryError("unexpected end of input at position %d" % at)
+        if (tok != want) if want else (tok in "()"):
+            raise QueryError("expected %s at position %d" % (repr(want) if want else "a name", at))
         pos += 1
         return tok, at
 
     def expr():
-        nonlocal pos
-        if pos >= len(tokens):
-            fail("unexpected end of input", len(text))
-        tok, at = tokens[pos]
-        if tok != "(":
-            fail("expected '('", at)
-        pos += 1
-        head, head_at = atom()
-        if head == "a":
-            name, name_at = atom()
+        take("(")
+        head, head_at = take()
+        if head in ("a", "p", "rp"):
+            name, at = take()
+            kind, resolve = ("vertex", g.vertex_id) if head == "a" else ("relation", g.relation_id)
             try:
-                node = Anchor(g.vertex_id(name))
-            except Exception:
-                fail("unknown vertex %r" % name, name_at)
-            expect(")")
-            return node
-        if head in ("p", "rp"):
-            name, name_at = atom()
-            try:
-                rel = g.relation_id(name)
-            except Exception:
-                fail("unknown relation %r" % name, name_at)
-            child = expr()
-            expect(")")
-            return Projection(rel, FORWARD if head == "p" else BACKWARD, child)
-        if head in ("i", "u"):
+                ident = resolve(name)
+            except GraphError:
+                raise QueryError("unknown %s %r at position %d" % (kind, name, at)) from None
+            node = Anchor(ident) if head == "a" else Projection(
+                ident, FORWARD if head == "p" else BACKWARD, expr())
+        elif head in ("i", "u"):
             children = []
-            while pos < len(tokens) and tokens[pos][0] != ")":
+            while tokens[pos][0] not in (")", None):
                 children.append(expr())
-            expect(")")
-            if len(children) < 2:
-                fail("%r requires arity >= 2" % head, head_at)
-            cls = Intersection if head == "i" else Union
-            return cls(tuple(children))
-        fail("unknown operator %r (negation is not supported)" % head, head_at)
+            node = (Intersection if head == "i" else Union)(tuple(children))
+        else:
+            raise QueryError("unknown operator %r (negation is not supported) at position %d"
+                             % (head, head_at))
+        take(")")
+        if isinstance(node, (Intersection, Union)) and len(node.children) < 2:
+            raise QueryError("%r requires arity >= 2 at position %d" % (head, head_at))
+        return node
 
     node = expr()
-    if pos != len(tokens):
-        fail("trailing input", tokens[pos][1])
+    if tokens[pos][0] is not None:
+        raise QueryError("trailing input at position %d" % tokens[pos][1])
     return node
+
+
+def _written(name: str) -> str:
+    """``name`` as a query writes it: a name that would not read back as one
+    token is refused."""
+    if not _NAME.fullmatch(name):
+        raise QueryError("name %r cannot be written in a query: it is empty or holds"
+                         " whitespace or a parenthesis" % name)
+    return name
 
 
 def serialize(q: QueryNode, g: KnowledgeGraph) -> str:
     if isinstance(q, Anchor):
-        return "(a %s)" % g.vertex_name(q.vertex)
+        return "(a %s)" % _written(g.vertex_name(q.vertex))
     if isinstance(q, Projection):
         op = "p" if q.direction == FORWARD else "rp"
-        return "(%s %s %s)" % (op, g.relation_name(q.rel), serialize(q.child, g))
+        return "(%s %s %s)" % (op, _written(g.relation_name(q.rel)), serialize(q.child, g))
     if isinstance(q, (Intersection, Union)):
         op = "i" if isinstance(q, Intersection) else "u"
         return "(%s %s)" % (op, " ".join(serialize(c, g) for c in q.children))

@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from privkg.benchmark import (BenchmarkError, format_stats, parse_query_line,
+from privkg.benchmark import (BenchmarkError, _names, format_stats, parse_query_line,
                               query_line, read_benchmark, sample_private_edges,
-                              sample_queries, split_edges, stats,
+                              sample_queries, split_edges,
                               training_subset, validation_subset, write_benchmark)
+from privkg.graph import from_named_triples
 from privkg.queries import QUERY_TYPES, classify_type, shape, to_dnf
 from privkg.symbolic import evaluate, evaluate_tagged
 from privkg.synthetic import make_synthetic_kg
@@ -132,23 +133,37 @@ def test_validation_subset_filter(split):
         assert bq.train_answers
 
 
+def _stats_table(queries) -> dict:
+    """The rows of ``format_stats(queries)`` by label, each a count per column."""
+    header, *rows = [line.split("\t") for line in format_stats(queries).splitlines()]
+    assert header == ["Answers"] + list(QUERY_TYPES) + ["All"]
+    return {row[0]: dict(zip(header[1:], map(int, row[1:]))) for row in rows}
+
+
 def test_stats_recount(split):
     queries = []
     for qtype in ("1p", "2i"):
         queries.extend(sample_queries(split, qtype, 10, seed=7))
-    s = stats(queries)
-    assert s.queries["1p"] == 10
-    assert s.public_answers["2i"] == sum(len(bq.test_answers.public_members)
-                                         for bq in queries if bq.qtype == "2i")
-    assert s.private_answers["1p"] == sum(len(bq.test_answers.private_members)
-                                          for bq in queries if bq.qtype == "1p")
-    table = format_stats(s)
-    assert table.splitlines()[0].split("\t") == ["Answers"] + list(QUERY_TYPES) + ["All"]
+    table = _stats_table(queries)
+    assert list(table) == ["Queries", "Public", "Private"]
+    assert table["Queries"]["1p"] == 10 and table["Queries"]["All"] == 20
+    assert table["Public"]["2i"] == sum(len(bq.test_answers.public_members)
+                                        for bq in queries if bq.qtype == "2i")
+    assert table["Private"]["1p"] == sum(len(bq.test_answers.private_members)
+                                         for bq in queries if bq.qtype == "1p")
 
 
 def test_stats_empty():
-    s = stats([])
-    assert s.row(s.queries) == [0] * 9
+    assert all(list(row.values()) == [0] * 9 for row in _stats_table([]).values())
+
+
+def test_answer_names_refuse_what_the_reader_would_split():
+    g = from_named_triples([("a,c", "LiveIn", "B"), ("", "LiveIn", "B"), ("New York", "LiveIn", "B")],
+                           {"LiveIn": "attr"})
+    assert _names(g, {g.vertex_id("New York"), g.vertex_id("B")}) == "B,New York"
+    for name in ("a,c", ""):
+        with pytest.raises(BenchmarkError, match=repr(name)):
+            _names(g, {g.vertex_id(name), g.vertex_id("B")})
 
 
 def test_benchmark_file_roundtrip(tmp_path, split, kg):

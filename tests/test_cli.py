@@ -82,6 +82,20 @@ def test_bad_input_returns_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_sample_queries_refuses_an_answer_name_with_a_comma(tmp_path, capsys):
+    (tmp_path / "graph.tsv").write_text("x\tLiveIn\ta,c\n")
+    (tmp_path / "schema.tsv").write_text("LiveIn\tattr\n")
+    (tmp_path / "private.tsv").write_text("")
+    out = tmp_path / "bench"
+    rc = main(["sample-queries", "--graph", str(tmp_path / "graph.tsv"),
+               "--schema", str(tmp_path / "schema.tsv"), "--private", str(tmp_path / "private.tsv"),
+               "--qtype", "1p", "--n", "2", "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "'a,c'" in line
+    assert not (out / "manifest.json").exists()
+
+
 def test_out_of_range_learning_rate_returns_1(tmp_path, capsys):
     graph, schema = _write_synthetic(tmp_path)
     _run_pipeline(tmp_path, graph, schema, "a")

@@ -1,12 +1,15 @@
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from privkg.queries import (FORWARD, QUERY_TYPES, TEMPLATES, Anchor, Intersection,
+from privkg.graph import from_named_triples
+from privkg.queries import (_TOKEN, FORWARD, QUERY_TYPES, TEMPLATES, Anchor, Intersection,
                             Projection, QueryError, Union, classify_type,
                             parse_query, serialize, shape, to_dnf)
 from privkg.symbolic import evaluate
-from .conftest import random_graph, random_query
+from .conftest import TOY_SCHEMA, TOY_TRIPLES, random_graph, random_query
 
 
 def test_parse_1p(toy_graph):
@@ -34,6 +37,66 @@ def test_parse_unknown_relation(toy_graph):
 def test_negation_rejected(toy_graph):
     with pytest.raises(QueryError, match="negation"):
         parse_query("(n (a Hinton))", toy_graph)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected end of input at position 0"),
+    ("   ", "unexpected end of input at position 3"),
+    ("p LiveIn (a Hinton)", "expected '(' at position 0"),
+    ("((a Hinton))", "expected a name at position 1"),
+    ("(p (a Hinton))", "expected a name at position 3"),
+    ("(p LiveIn (a Nobody))", "unknown vertex 'Nobody' at position 13"),
+    ("(p Eats (a Hinton))", "unknown relation 'Eats' at position 3"),
+    ("(n (a Hinton))", "unknown operator 'n' (negation is not supported) at position 1"),
+    ("(i (a Hinton))", "'i' requires arity >= 2 at position 1"),
+    ("(u (a Hinton) )", "'u' requires arity >= 2 at position 1"),
+    ("(i (a Hinton) (a", "unexpected end of input at position 16"),
+    ("(i (a Hinton) (a LeCun)", "expected ')' at position 23"),
+    ("(i (a Hinton)", "expected ')' at position 13"),  # before the arity check
+    ("(a Hinton LeCun)", "expected ')' at position 10"),
+    ("(a Hinton) (a LeCun)", "trailing input at position 11"),
+    ("(a Hinton))", "trailing input at position 10"),
+])
+def test_parse_error_messages_and_positions(toy_graph, text, message):
+    with pytest.raises(QueryError) as e:
+        parse_query(text, toy_graph)
+    assert str(e.value) == message
+
+
+_PIECES = ["(", ")", "a", "p", "rp", "i", "u", "n", "Hinton", "LeCun", "LiveIn", "x,y", ",",
+           " ", "\t", "\n"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(alphabet="()aipruHLeCn ,\t\n"),
+                 st.lists(st.sampled_from(_PIECES), max_size=20).map("".join)))
+def test_parse_returns_a_query_or_raises_query_error(text):
+    g = from_named_triples(TOY_TRIPLES, TOY_SCHEMA)
+    try:
+        q = parse_query(text, g)
+    except QueryError:
+        return
+    assert parse_query(serialize(q, g), g) == q
+
+
+def test_tokens_split_exactly_at_whitespace():
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    tokens = _TOKEN.findall(text)
+    assert "(" in tokens and ")" in tokens
+    assert set(text) - set("".join(tokens)) == {c for c in text if c.isspace()}
+
+
+def test_serialize_refuses_names_that_would_not_read_back():
+    g = from_named_triples([("New York", "LiveIn", "a,c"), ("x", "in (1)", "a,c")],
+                           {"LiveIn": "attr", "in (1)": "attr"})
+    assert serialize(Anchor(g.vertex_id("a,c")), g) == "(a a,c)"
+    with pytest.raises(QueryError, match="'New York'"):
+        serialize(Anchor(g.vertex_id("New York")), g)
+    with pytest.raises(QueryError, match=r"'in \(1\)'"):
+        serialize(Projection(g.relation_id("in (1)"), FORWARD, Anchor(g.vertex_id("x"))), g)
+    empty = from_named_triples([("", "LiveIn", "B")], {"LiveIn": "attr"})
+    with pytest.raises(QueryError, match="''"):
+        serialize(Anchor(empty.vertex_id("")), empty)
 
 
 def test_2p_roundtrip(toy_graph):
