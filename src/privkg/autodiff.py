@@ -32,11 +32,11 @@ class Tensor:
 
     __slots__ = ("data", "grad", "parents", "_backward", "requires_grad", "__weakref__")
 
-    def __init__(self, data, parents=(), backward=None, requires_grad=False):
+    def __init__(self, data, parents=(), requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.parents = parents
-        self._backward = backward
+        self._backward = None
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
 
     @property

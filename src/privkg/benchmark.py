@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BACKWARD, FORWARD, EdgeSet, GraphSplit, KnowledgeGraph, Triple
+from .graph import (BACKWARD, FORWARD, EdgeSet, GraphSplit, KnowledgeGraph, check_fields,
+                    read_tsv)
 from .queries import (QUERY_TYPES, Anchor, Intersection, Projection, QueryNode,
                       Union, classify_type, parse_query, serialize)
 from .symbolic import RELAXED, TaggedAnswerSet, evaluate, evaluate_tagged
@@ -35,15 +36,15 @@ class BenchmarkQuery:
     test_answers: TaggedAnswerSet
 
 
-def sample_private_edges(g: KnowledgeGraph, n: int, seed: int) -> frozenset[Triple]:
+def sample_private_edges(g: KnowledgeGraph, n: int, seed: int) -> EdgeSet:
     """Uniform seeded sample of n attribute triples."""
     attrs = g.attribute_triples()
     if not 0 <= n <= len(attrs):
         raise BenchmarkError("requested %d private edges; n must be in [0, %d], the number"
                              " of attribute triples" % (n, len(attrs)))
-    # the draws depend only on len(attrs) and n; rows are in sorted triple order
-    picked = attrs.rows()[random.Random(seed).sample(range(len(attrs)), n)]
-    return frozenset(map(Triple._make, picked.tolist()))
+    # the draws depend only on len(attrs) and n; keys are in sorted triple order
+    return EdgeSet(np.sort(attrs.keys[random.Random(seed).sample(range(len(attrs)), n)]),
+                   attrs.space)
 
 
 def split_edges(g: KnowledgeGraph, private, seed: int) -> GraphSplit:
@@ -79,14 +80,10 @@ def _step_choices(g: KnowledgeGraph, v: int):
 
     Incoming (u, r, v) -> forward projection from u; outgoing (v, r, x) ->
     backward projection from x."""
-    choices = []
-    for rel in g.relations:
-        for u in g.neighbors(v, rel.id, BACKWARD):
-            choices.append((FORWARD, rel.id, u))
-        for x in g.neighbors(v, rel.id, FORWARD):
-            choices.append((BACKWARD, rel.id, x))
-    choices.sort()
-    return choices
+    return sorted([(FORWARD, rel.id, u) for rel in g.relations
+                   for u in g.neighbors(v, rel.id, BACKWARD)] +
+                  [(BACKWARD, rel.id, x) for rel in g.relations
+                   for x in g.neighbors(v, rel.id, FORWARD)])
 
 
 def _sample_chain(g, v, length, rng):
@@ -211,35 +208,14 @@ def _names(g, members) -> str:
         if not name or "," in name:
             raise BenchmarkError("vertex name %r cannot be written in an answer field: it is"
                                  " empty or holds a comma" % name)
+    check_fields(names, BenchmarkError)
     return ",".join(names)
 
 
 def query_line(bq: BenchmarkQuery, g: KnowledgeGraph) -> str:
-    return "\t".join([
-        serialize(bq.query, g),
-        _names(g, bq.train_answers),
-        _names(g, bq.valid_answers),
-        _names(g, bq.test_answers.public_members),
-        _names(g, bq.test_answers.private_members),
-    ])
-
-
-def parse_query_line(line: str, g: KnowledgeGraph) -> BenchmarkQuery:
-    fields = line.rstrip("\n").split("\t")
-    if len(fields) != 5:
-        raise BenchmarkError("benchmark line needs 5 fields, got %d" % len(fields))
-
-    def vset(field):
-        return frozenset(g.vertex_id(n) for n in field.split(",") if n)
-
-    q = parse_query(fields[0], g)
-    return BenchmarkQuery(
-        query=q,
-        qtype=classify_type(q),
-        train_answers=vset(fields[1]),
-        valid_answers=vset(fields[2]),
-        test_answers=TaggedAnswerSet(vset(fields[3]), vset(fields[4])),
-    )
+    test = bq.test_answers
+    answers = (bq.train_answers, bq.valid_answers, test.public_members, test.private_members)
+    return "\t".join([serialize(bq.query, g), *(_names(g, members) for members in answers)])
 
 
 def write_benchmark(path, queries: list[BenchmarkQuery], g: KnowledgeGraph) -> None:
@@ -249,11 +225,15 @@ def write_benchmark(path, queries: list[BenchmarkQuery], g: KnowledgeGraph) -> N
 
 
 def read_benchmark(path, g: KnowledgeGraph) -> list[BenchmarkQuery]:
+    def vset(field):
+        return frozenset(g.vertex_id(n) for n in field.split(",") if n)
+
     out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                out.append(parse_query_line(line, g))
+    fields = read_tsv(path, 5, "benchmark")
+    for query, train, valid, public, private in zip(*[iter(fields)] * 5):
+        q = parse_query(query, g)
+        out.append(BenchmarkQuery(q, classify_type(q), vset(train), vset(valid),
+                                  TaggedAnswerSet(vset(public), vset(private))))
     return out
 
 

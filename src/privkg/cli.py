@@ -20,7 +20,7 @@ from .benchmark import (BenchmarkError, read_benchmark, sample_private_edges, sa
                         split_edges, format_stats, write_benchmark)
 from .encoders import DEFAULT_DIM, DEFAULT_PARTICLES, ENCODERS, load_encoder, make_encoder
 from .evaluation import evaluate_model
-from .graph import (load_schema, load_triple_set, load_triples, write_triples)
+from .graph import load_schema, load_triple_set, load_triples, read_tsv, write_triples
 from .queries import QUERY_TYPES, parse_query
 from .symbolic import RELAXED, STRICT, evaluate_tagged
 from .training import BOTH, REVERSE_ONLY, NoiseConfig, TrainConfig, train
@@ -163,17 +163,13 @@ def cmd_audit(args):
         print("%s\t%s" % (g.vertex_name(v), label))
 
 
-def _read_report_tsv(path) -> list[list[str]]:
-    """The fields of every line of an eval report.tsv, header first."""
-    with open(path, encoding="utf-8") as f:
-        return [line.rstrip("\n").split("\t") for line in f]
-
-
 def cmd_report(args):
-    rows = _read_report_tsv(args.eval_report)
+    fields = read_tsv(args.eval_report, 7, "report")
+    rows = [fields[i:i + 7] for i in range(0, len(fields), 7)]
     if args.baseline:
         mrr = rows[0].index("MRR")
-        base = {tuple(r[:2]): float(r[mrr]) for r in _read_report_tsv(args.baseline)[1:]}
+        fields = read_tsv(args.baseline, 7, "baseline")
+        base = {tuple(fields[i:i + 2]): float(fields[i + mrr]) for i in range(7, len(fields), 7)}
         rows[0].append("MRR_vs_baseline")
         for r in rows[1:]:
             b = base.get(tuple(r[:2]), 0.0)

@@ -243,13 +243,17 @@ class GraphSplit:
     test: KnowledgeGraph
 
 
-# -- flat-file ingestion ----------------------------------------------------
+# -- flat files: every tab-separated file privkg reads goes through read_tsv ----
+
+_BREAKS = "\t\n\r"  # no field holds one
 
 
-def _read_tsv(path, n_fields, what, linenos=False):
-    """The tab-separated fields of the data lines (not blank, not '#' comments),
-    flattened: data line i holds ``fields[i * n_fields:(i + 1) * n_fields]``.
-    With ``linenos``, also the file line number of each data line."""
+def read_tsv(path, n_fields, what, linenos=False):
+    """The fields of the data lines (not blank, not '#' comments; LF or CRLF
+    ends), flattened: data line i holds ``fields[i * n_fields:(i + 1) * n_fields]``.
+    With ``linenos``, also the file line number of each data line. Writers keep
+    the matching rule: no field holds a tab, newline or carriage return
+    (``check_fields``), and no line starts with '#'."""
     with open(path, encoding="utf-8") as f:
         lines = f.read().split("\n")
     data = [line for line in lines if line and line[0] != "#"]
@@ -259,17 +263,29 @@ def _read_tsv(path, n_fields, what, linenos=False):
         raise GraphError("%s: malformed line %d (expected %d tab-separated fields): %r"
                          % (what, lineno, n_fields, line))
     fields = "\t".join(data).split("\t") if data else []
-    if not linenos:
-        return fields
-    return fields, [i for i, line in enumerate(lines, 1) if line and line[0] != "#"]
+    return (fields, [i for i, line in enumerate(lines, 1) if line and line[0] != "#"]) \
+        if linenos else fields
+
+
+def check_fields(names, error=GraphError) -> None:
+    """Refuse, with ``error``, the first of ``names`` that ``read_tsv`` would not
+    read back as one field. When none does, this is one scan of the joined names."""
+    if any(map("".join(names).__contains__, _BREAKS)):
+        raise error("name %r cannot be written as a tab-separated field: it holds a tab, a "
+                    "newline or a carriage return"
+                    % next(n for n in names if any(map(n.__contains__, _BREAKS))))
 
 
 def load_schema(path) -> dict[str, str]:
-    """Schema file: ``relation<TAB>{rel|attr}`` per line."""
-    fields, linenos = _read_tsv(path, 2, "schema", linenos=True)
-    for lineno, kind in zip(linenos, fields[1::2]):
+    """Schema file: ``relation<TAB>{rel|attr}`` per line, each relation once."""
+    fields, linenos = read_tsv(path, 2, "schema", linenos=True)
+    first: dict[str, int] = {}
+    for lineno, name, kind in zip(linenos, fields[0::2], fields[1::2]):
         if kind not in (REL, ATTR):
             raise GraphError("schema line %d: kind must be rel or attr, got %r" % (lineno, kind))
+        if first.setdefault(name, lineno) != lineno:
+            raise GraphError("schema lines %d and %d: relation %r listed twice"
+                             % (first[name], lineno, name))
     return dict(zip(fields[0::2], fields[1::2]))
 
 
@@ -301,12 +317,12 @@ def load_triples(path, schema: dict[str, str]) -> KnowledgeGraph:
     """Load a TSV triple file (``head<TAB>relation<TAB>tail``, '#' comments).
 
     Duplicate lines collapse to one triple (set semantics)."""
-    return _from_fields(_read_tsv(path, 3, "triples"), schema)
+    return _from_fields(read_tsv(path, 3, "triples"), schema)
 
 
 def load_triple_set(path, g: KnowledgeGraph) -> EdgeSet:
     """Read a TSV triple file and resolve against an existing graph."""
-    fields = _read_tsv(path, 3, "triples")
+    fields = read_tsv(path, 3, "triples")
     lookups = itertools.cycle((g.vertex_id, g.relation_id, g.vertex_id))
     return g.edge_set(np.fromiter((f(x) for f, x in zip(lookups, fields)), dtype=np.int64,
                                   count=len(fields)))
@@ -315,9 +331,17 @@ def load_triple_set(path, g: KnowledgeGraph) -> EdgeSet:
 def write_triples(path, g: KnowledgeGraph, triples) -> None:
     """One ``head<TAB>relation<TAB>tail`` line per distinct triple, in key
     order; ``triples``: anything ``edge_set`` takes. The lines are built over
-    object arrays of names, with no Python container per row to track."""
+    object arrays of names, with no Python container per row to track. Nothing
+    is written if a written name would not read back (``GraphError``)."""
     names = np.array(g.vertex_names, dtype=object)
     rels = np.array([r.name for r in g.relations], dtype=object)
     h, r, t = g.edge_set(triples).rows().T
+    for table, ids in ((g.vertex_names, (h, t)), (rels, (r,))):
+        if any(map("".join(table).__contains__, _BREAKS)):  # only written names count
+            check_fields([table[i] for i in _unique(np.concatenate(ids))])
+    text = "".join(names[h] + "\t" + rels[r] + "\t" + names[t] + "\n")
+    if text[:1] == "#" or "\n#" in text:
+        raise GraphError("head name %r would read back as a comment: it starts with '#'"
+                         % next(n for n in names[h] if n[:1] == "#"))
     with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(names[h] + "\t" + rels[r] + "\t" + names[t] + "\n"))
+        f.write(text)

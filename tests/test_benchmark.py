@@ -2,14 +2,16 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from privkg.benchmark import (BenchmarkError, _names, format_stats, parse_query_line,
-                              query_line, read_benchmark, sample_private_edges,
-                              sample_queries, split_edges,
+from privkg.benchmark import (BenchmarkError, BenchmarkQuery, _names, format_stats, query_line,
+                              read_benchmark, sample_private_edges, sample_queries, split_edges,
                               training_subset, validation_subset, write_benchmark)
-from privkg.graph import from_named_triples
-from privkg.queries import QUERY_TYPES, classify_type, shape, to_dnf
-from privkg.symbolic import evaluate, evaluate_tagged
+from privkg.graph import (FORWARD, EdgeSet, GraphError, from_named_triples, load_triples,
+                          write_triples)
+from privkg.queries import (QUERY_TYPES, Anchor, Projection, QueryError, classify_type, shape,
+                            to_dnf)
+from privkg.symbolic import TaggedAnswerSet, evaluate, evaluate_tagged
 from privkg.synthetic import make_synthetic_kg
 from .conftest import random_graph
 
@@ -29,6 +31,7 @@ def test_sample_private_edges_seeded(kg):
     a = sample_private_edges(kg, 15, seed=1)
     b = sample_private_edges(kg, 15, seed=1)
     c = sample_private_edges(kg, 15, seed=2)
+    assert isinstance(a, EdgeSet) and a.space == kg.triples.space
     assert a == b
     assert a != c
     assert len(a) == 15
@@ -184,11 +187,71 @@ def test_benchmark_files_byte_identical(tmp_path, split, kg):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_query_line_format(split, kg):
+def test_query_line_format(tmp_path, split, kg):
     bq = sample_queries(split, "1p", 1, seed=12)[0]
     line = query_line(bq, kg)
     assert len(line.split("\t")) == 5
-    assert parse_query_line(line, kg) == bq
+    write_benchmark(tmp_path / "q.tsv", [bq], kg)
+    assert (tmp_path / "q.tsv").read_text(encoding="utf-8") == line + "\n"
+    assert read_benchmark(tmp_path / "q.tsv", kg) == [bq]
+
+
+def test_benchmark_files_read_like_graph_files(tmp_path, split, kg):
+    queries = sample_queries(split, "2i", 3, seed=13)
+    lines = [query_line(bq, kg) for bq in queries]
+    text = "# a comment\r\n\r\n" + "".join(line + "\r\n" for line in lines)
+    (tmp_path / "q.tsv").write_bytes(text.encode())
+    assert read_benchmark(tmp_path / "q.tsv", kg) == queries
+    # a whitespace-only line is a malformed data line, with its line number
+    (tmp_path / "q.tsv").write_text(lines[0] + "\n \n", encoding="utf-8")
+    with pytest.raises(GraphError, match="benchmark: malformed line 2"):
+        read_benchmark(tmp_path / "q.tsv", kg)
+
+
+# names from an alphabet of every character a reader treats specially
+NAMES = st.text(alphabet="ab\t\n\r#, (", max_size=3)
+
+
+def _breaks(name) -> bool:
+    return any(c in name for c in "\t\n\r")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NAMES, min_size=1, max_size=5, unique=True), NAMES, st.data())
+def test_names_round_trip_or_are_refused_at_write(tmp_path_factory, names, rel, data):
+    pairs = data.draw(st.lists(st.tuples(st.sampled_from(names), st.sampled_from(names)),
+                               min_size=1, max_size=6))
+    named = {(h, rel, t) for h, t in pairs}
+    g = from_named_triples(sorted(named), {rel: "attr"})
+    d = tmp_path_factory.mktemp("names")
+    # a graph file: refused exactly when a name breaks a field or a head starts a comment
+    refused = any(_breaks(h) or _breaks(r) or _breaks(t) or h[:1] == "#" for h, r, t in named)
+    try:
+        write_triples(d / "g.tsv", g, g.triples)
+    except GraphError as exc:
+        assert refused and not (d / "g.tsv").exists()
+        assert any(repr(name) in str(exc) for name in (rel, *names))
+    else:
+        assert not refused
+        back = load_triples(d / "g.tsv", {rel: "attr"})
+        assert {tuple(back.vertex_name(v) for v in (h, t)) for h, _, t in back.triples} == \
+            {(h, t) for h, _, t in named}
+    # a benchmark file: the query is refused by ``serialize``, an answer by ``_names``
+    anchor = data.draw(st.sampled_from(sorted(named)))[0]
+    members = [frozenset(data.draw(st.sets(st.sampled_from(range(g.num_vertices())))))
+               for _ in range(4)]
+    bq = BenchmarkQuery(Projection(0, FORWARD, Anchor(g.vertex_id(anchor))), "1p", members[0],
+                        members[1], TaggedAnswerSet(members[2], members[3]))
+    answers = {g.vertex_name(v) for m in members for v in m}
+    refused = any(not n or _breaks(n) or " " in n or "(" in n for n in (anchor, rel)) or \
+        any(not n or _breaks(n) or "," in n for n in answers)
+    try:
+        write_benchmark(d / "q.tsv", [bq], g)
+    except (QueryError, BenchmarkError):
+        assert refused and not (d / "q.tsv").exists()
+    else:
+        assert not refused
+        assert read_benchmark(d / "q.tsv", g) == [bq]
 
 
 # sha256 pins of generated data: a change to the generator, the split or the

@@ -171,6 +171,22 @@ def test_full_pipeline(tmp_path, capsys):
         assert row.endswith("\t100.0%")
 
 
+def test_report_refuses_a_short_row_with_its_line_number(tmp_path, capsys):
+    header = "type\tclass\tHR@1\tHR@3\tHR@10\tMRR\tcount\n"
+    row = "1p\tpublic\t0.5000\t0.5000\t0.5000\t0.5000\t2\n"
+    (tmp_path / "report.tsv").write_text(header + row + "1p\tprivate\n")
+    (tmp_path / "good.tsv").write_text(header + row)
+    (tmp_path / "merged.tsv").write_text(header.replace("\n", "\tMRR_vs_baseline\n"))
+    for report, baseline, want in (("report.tsv", "good.tsv", "report: malformed line 3"),
+                                   ("good.tsv", "merged.tsv", "baseline: malformed line 1")):
+        out = tmp_path / report.replace(".tsv", "-out")
+        assert main(["report", "--eval-report", str(tmp_path / report),
+                     "--baseline", str(tmp_path / baseline), "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: %s" % want)
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
 def test_eval_rejects_a_bad_sigma_before_reading_files(tmp_path, capsys, sigma):
     # every input is missing, so only a check made before reading can name sigma

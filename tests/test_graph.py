@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -74,6 +75,13 @@ def test_schema_file_roundtrip(tmp_path):
         load_schema(write(tmp_path / "bad.tsv", "r\tblah\n"))
     with pytest.raises(GraphError, match="schema line 4: kind"):
         load_schema(write(tmp_path / "bad.tsv", "r\trel\n# comment\n\na\tatr\n"))
+
+
+def test_schema_refuses_a_relation_listed_twice(tmp_path):
+    # the last row used to win, deciding silently which edges may be private
+    p = write(tmp_path / "s.tsv", "LiveIn\trel\n# comment\nr\trel\nLiveIn\tattr\n")
+    with pytest.raises(GraphError, match="schema lines 1 and 4: relation 'LiveIn' listed twice"):
+        load_schema(p)
 
 
 def test_mark_private_fig2(toy_graph):
@@ -224,6 +232,25 @@ def test_triple_file_roundtrip(tmp_path, toy_graph):
     path = tmp_path / "private.tsv"
     write_triples(path, toy_graph, toy_graph.private)
     assert load_triple_set(path, toy_graph) == toy_graph.private
+
+
+@pytest.mark.parametrize("triples, name", [
+    ([("#x", "LiveIn", "B"), ("y", "LiveIn", "B")], "#x"),  # read back as a comment
+    ([("a\tb", "LiveIn", "B")], "a\tb"),
+    ([("y", "LiveIn", "B\r")], "B\r"),
+    ([("y", "Live\nIn", "B")], "Live\nIn"),
+])
+def test_write_triples_refuses_a_name_that_would_not_read_back(tmp_path, triples, name):
+    schema = {"LiveIn": ATTR, **{r: ATTR for _, r, _ in triples}}
+    g = from_named_triples(triples, schema)
+    with pytest.raises(GraphError, match=re.escape(repr(name))):
+        write_triples(tmp_path / "g.tsv", g, g.triples)
+    assert not (tmp_path / "g.tsv").exists()
+    # names that are not written, and a '#' that does not start a line, are fine
+    write_triples(tmp_path / "g.tsv", g, ())
+    ok = from_named_triples([("x#", "LiveIn", "#y")] + triples, schema)
+    write_triples(tmp_path / "g.tsv", ok, [(0, 0, 1)])
+    assert (tmp_path / "g.tsv").read_text(encoding="utf-8") == "x#\tLiveIn\t#y\n"
 
 
 def test_malformed_line_number_counts_comments_and_blank_lines(tmp_path):
