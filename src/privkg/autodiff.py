@@ -5,7 +5,10 @@ walks the recorded graph once. No graph reuse across steps.
 
 Encoders score against the whole entity table through two fused ops, each one
 tape node that keeps no (B, n, d) array: ``distances`` (Euclidean; GQE and
-Q2P) and ``box_distances`` (Query2Box's clipped L1; Q2B).
+Q2P) and ``box_distances`` (Query2Box's clipped L1; Q2B). ``segment_max``
+takes the max over each query's disjunct rows, only where a query has more
+than one. Backward computes no gradient for an operand that does not require
+one, and stores a copy of a tensor's first gradient.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ class Tensor:
         if not self.requires_grad:
             return
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+            self.grad = np.array(grad, dtype=np.float64)  # a copy: grad may be upstream's
+        else:
+            self.grad += grad
 
     # -- operator sugar ---------------------------------------------------
 
@@ -123,23 +127,17 @@ def add(a, b) -> Tensor:
     out = Tensor(a.data + b.data, (a, b))
 
     def back(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
 
     out._backward = back
     return out
 
 
 def subtract(a, b) -> Tensor:
-    a, b = _both(a, b)
-    out = Tensor(a.data - b.data, (a, b))
-
-    def back(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(-g, b.shape))
-
-    out._backward = back
-    return out
+    return add(a, multiply(b, -1.0))
 
 
 def multiply(a, b) -> Tensor:
@@ -147,8 +145,10 @@ def multiply(a, b) -> Tensor:
     out = Tensor(a.data * b.data, (a, b))
 
     def back(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     out._backward = back
     return out
@@ -162,8 +162,10 @@ def matmul(a, b) -> Tensor:
     out = Tensor(a.data @ b.data, (a, b))
 
     def back(g):
-        a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     out._backward = back
     return out
@@ -235,7 +237,7 @@ def reduce_sum(a, axis=None) -> Tensor:
     def back(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.shape))
 
     out._backward = back
     return out
@@ -269,6 +271,35 @@ def reduce_min(a, axis=0) -> Tensor:
 
 def reduce_max(a, axis=0) -> Tensor:
     return _reduce_extreme(a, axis, np.argmax, np.max)
+
+
+def segment_max(a, index, counts) -> Tensor:
+    """Row i is the elementwise max of the ``counts[i]`` rows of ``a`` (R, n) listed
+    next in ``index``, each row listed at most once. One-row segments are copied;
+    only longer ones take a max, ties going to the first maximal row as in
+    ``reduce_max``. Backward assigns each gradient to its one source row."""
+    a, index, counts = tensor(a), np.asarray(index, dtype=np.intp), np.asarray(counts)
+    if counts.min(initial=1) < 1 or counts.sum() != index.size:
+        raise AutodiffError("segment_max needs segments of >= 1 row covering the index")
+    starts = np.cumsum(counts) - counts
+    first, multi, cols = index[starts], np.flatnonzero(counts > 1), np.arange(a.shape[1])
+    # pad each longer segment to the longest by repeating its last row (the max is
+    # unchanged); ``source`` (m, n) is the row each of their maxima came from
+    pad = index[starts[multi, None] + np.minimum(np.arange(counts.max()), counts[multi, None] - 1)]
+    source = np.take_along_axis(pad, a.data[pad].argmax(axis=1), axis=1)
+    data = a.data[first]
+    data[multi] = a.data[source, cols]
+    out = Tensor(data, (a,))
+
+    def back(g):
+        grad = np.zeros_like(a.data)
+        grad[first] = g
+        grad[first[multi]] = 0.0
+        grad[source, cols] = g[multi]
+        a._accumulate(grad)
+
+    out._backward = back
+    return out
 
 
 # -- elementwise nonlinearities -------------------------------------------
@@ -327,11 +358,13 @@ def distances(rows, table) -> Tensor:
         raise AutodiffError("distances needs (B, d) and (n, d) operands, got %r and %r"
                             % (q.shape, e.shape))
     norms = (q * q).sum(axis=1)[:, None] + (e * e).sum(axis=1)
-    sq = norms - 2.0 * (q @ e.T)
-    i, j = np.nonzero(sq < _NEAR * norms)
+    sq = q @ e.T  # in place from here: a step holds few (B, n) temporaries at once
+    sq *= -2.0
+    sq += norms
+    i, j = np.nonzero(sq < np.multiply(norms, _NEAR, out=norms))
     near = q[i] - e[j]
     sq[i, j] = (near * near).sum(axis=1)
-    dist = np.sqrt(np.maximum(sq, 0.0))
+    dist = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
     out = Tensor(dist, (rows, table))
 
     def back(g):

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import (BACKWARD, FORWARD, EdgeSet, GraphSplit, KnowledgeGraph, check_fields,
-                    read_tsv)
-from .queries import (QUERY_TYPES, Anchor, Intersection, Projection, QueryNode,
+from .graph import (BACKWARD, FORWARD, EdgeSet, GraphError, GraphSplit, KnowledgeGraph,
+                    check_fields, read_tsv)
+from .queries import (QUERY_TYPES, Anchor, Intersection, Projection, QueryError, QueryNode,
                       Union, classify_type, parse_query, serialize)
 from .symbolic import RELAXED, TaggedAnswerSet, evaluate, evaluate_tagged
 
@@ -225,15 +225,20 @@ def write_benchmark(path, queries: list[BenchmarkQuery], g: KnowledgeGraph) -> N
 
 
 def read_benchmark(path, g: KnowledgeGraph) -> list[BenchmarkQuery]:
+    """The queries of one benchmark file; a name ``g`` lacks is refused with
+    the file and line that hold it."""
     def vset(field):
         return frozenset(g.vertex_id(n) for n in field.split(",") if n)
 
     out = []
-    fields = read_tsv(path, 5, "benchmark")
-    for query, train, valid, public, private in zip(*[iter(fields)] * 5):
-        q = parse_query(query, g)
-        out.append(BenchmarkQuery(q, classify_type(q), vset(train), vset(valid),
-                                  TaggedAnswerSet(vset(public), vset(private))))
+    fields, linenos = read_tsv(path, 5, "benchmark", linenos=True)
+    for lineno, (query, train, valid, public, private) in zip(linenos, zip(*[iter(fields)] * 5)):
+        try:
+            q = parse_query(query, g)
+            out.append(BenchmarkQuery(q, classify_type(q), vset(train), vset(valid),
+                                      TaggedAnswerSet(vset(public), vset(private))))
+        except (GraphError, QueryError) as exc:
+            raise BenchmarkError("%s line %d: %s" % (path, lineno, exc)) from None
     return out
 
 

@@ -163,13 +163,22 @@ def cmd_audit(args):
         print("%s\t%s" % (g.vertex_name(v), label))
 
 
-def cmd_report(args):
-    fields = read_tsv(args.eval_report, 7, "report")
+def _read_report(path, what) -> list:
+    """The rows of an eval report; the first, its header, names an MRR column."""
+    fields = read_tsv(path, 7, what)
     rows = [fields[i:i + 7] for i in range(0, len(fields), 7)]
+    if not rows or "MRR" not in rows[0]:
+        raise ValueError("%s: no header line with an MRR column" % path)
+    return rows
+
+
+def cmd_report(args):
+    rows = _read_report(args.eval_report, "report")
     if args.baseline:
         mrr = rows[0].index("MRR")
-        fields = read_tsv(args.baseline, 7, "baseline")
-        base = {tuple(fields[i:i + 2]): float(fields[i + mrr]) for i in range(7, len(fields), 7)}
+        base_rows = _read_report(args.baseline, "baseline")
+        base_mrr = base_rows[0].index("MRR")
+        base = {tuple(r[:2]): float(r[base_mrr]) for r in base_rows[1:]}
         rows[0].append("MRR_vs_baseline")
         for r in rows[1:]:
             b = base.get(tuple(r[:2]), 0.0)

@@ -3,7 +3,8 @@ particle-set model (Q2P-style).
 
 Every primitive maps a batch of rows (one per union-free DNF disjunct) to a
 batch; disjuncts of one shape are encoded together by index-array gathers.
-``log_probabilities`` is the one path from queries to target log-probabilities.
+``log_probabilities`` is the one path from queries to target log-probabilities;
+it scores the groups of one embedding width with one ``scores`` call.
 Backward projections use a dedicated inverse-relation row per relation.
 """
 
@@ -130,14 +131,17 @@ class Encoder:
         return ad.reshape(s, s.shape[1:]) if s.shape[0] == 1 else ad.reduce_max(s, axis=0)
 
     def log_probabilities(self, queries: list, targets: list, rng=None,
-                          candidate_sample: int = 0) -> Tensor:
+                          candidate_sample: int = 0, sampled: int | None = None) -> Tensor:
         """Log-probability of every (query, target) pair, in query then target order.
 
-        The disjuncts of all queries are grouped by shape, and each group is
-        encoded and scored at once. A query scores a vertex by the max over
-        its disjuncts, and one log-softmax per query normalises over all
-        vertices, or, with ``candidate_sample`` > 0, over its targets plus
-        that many vertices from ``rng.sample`` (one draw per query, in order)."""
+        The disjuncts of all queries are grouped by shape and each group is
+        encoded at once. Groups whose embeddings agree in per-row field shapes
+        (one width) are concatenated and scored by one ``scores`` call. A query
+        scores a vertex by the max over its disjuncts, taken only where it has
+        more than one, and one log-softmax normalises each query over all
+        vertices. With ``candidate_sample`` > 0, each of the first ``sampled``
+        queries (default: all) normalises instead over its targets plus that
+        many vertices from ``rng.sample`` (one draw per query, in order)."""
         if not queries or len(queries) != len(targets):
             raise EncoderError("need one target list per query and at least one query")
         nv = self.graph.num_vertices()
@@ -147,19 +151,23 @@ class Encoder:
             raise EncoderError("target vertex id out of range")
         dnfs = [to_dnf(q) for q in queries]
         flat = [d for ds in dnfs for d in ds]
-        groups = _group_by_shape(flat)
-        parts = [self.scores(self._encode_group([flat[i] for i in idx])) for idx in groups]
+        widths: dict = {}  # per-row field shapes -> (disjunct indices, embeddings)
+        for idx in _group_by_shape(flat):
+            emb = self._encode_group([flat[i] for i in idx])
+            order, embs = widths.setdefault(tuple(t.shape[1:] for t in emb), ([], []))
+            order.extend(idx)
+            embs.append(emb)
+        parts = [self.scores(embs[0] if len(embs) == 1 else
+                             type(embs[0])(*(ad.concat(f, axis=0) for f in zip(*embs))))
+                 for _, embs in widths.values()]
         scores = ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
-        # row of `scores` for each query's j-th disjunct, padded by repeating its last:
-        # the max is unchanged and its gradient still goes to the first maximal one
-        counts = np.array([len(ds) for ds in dnfs])[:, None]
-        slots = np.cumsum(counts)[:, None] - counts + np.minimum(np.arange(counts.max()), counts - 1)
-        index = np.argsort(np.concatenate(groups))[slots]
-        if not np.array_equal(index, np.arange(len(queries))[:, None]):
-            scores = ad.reduce_max(ad.rows(scores, index), axis=1)
+        # score row of each disjunct, in query order
+        index = np.argsort(np.concatenate([order for order, _ in widths.values()]))
+        scores = ad.segment_max(scores, index, [len(ds) for ds in dnfs])
         if candidate_sample > 0:
-            mask = np.full((len(queries), nv), -np.inf)
-            for i, t in enumerate(targets):
+            mask = np.zeros((len(queries), nv))
+            for i, t in enumerate(targets[:sampled]):
+                mask[i] = -np.inf
                 mask[i, t] = 0.0
                 mask[i, rng.sample(range(nv), min(candidate_sample, nv))] = 0.0
             scores = scores + ad.Tensor(mask)  # exp(-inf) = 0 outside the candidates

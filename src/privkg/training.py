@@ -1,6 +1,10 @@
-"""Adversarial training: public retrieval loss, privacy obfuscation loss, and
-their beta-weighted sum, plus the inference-time noise-perturbation baseline.
+"""Adversarial training: the public retrieval loss and the privacy
+obfuscation loss, their beta-weighted sum, plus the inference-time
+noise-perturbation baseline.
 
+One training step is one scoring pass: ``total_loss`` puts the batch's public
+(query, answers) pairs and the private one-hop terms into one
+``log_probabilities`` call, and L_u and L_p are the means of its two segments.
 The privacy term carries a positive log-probability of the private target, so
 minimizing the total loss pushes that probability down.
 """
@@ -70,47 +74,33 @@ class LossTrace:
                 f.write("%d,%.10g,%.10g,%.10g\n" % (epoch, lu, lp, total))
 
 
-def public_loss(model: Encoder, batch: list[tuple], rng=None, candidate_sample: int = 0) -> ad.Tensor:
-    """Mean negative log-probability over (query, public answers) pairs.
+def total_loss(model: Encoder, batch, private_triples, beta: float,
+               direction: str = REVERSE_ONLY, rng=None, candidate_sample: int = 0) -> tuple:
+    """Returns (total, L_u, L_p) with total = L_u + beta * L_p, from one scoring pass.
 
-    N is the number of (query, answer) pairs in the batch; answers of one
-    query share a single encoding and softmax.
+    L_u is the mean negative log-probability over the batch's (query, public
+    answer) pairs. L_p is the mean log-probability of the private targets
+    under one-hop projections: each private attribute triple (u, a, x) gives
+    the backward term, the probability of u from x, and with direction "both"
+    also the forward term, the probability of x from u. Both segments come
+    from one ``log_probabilities`` call; ``candidate_sample`` applies to the
+    public queries only, and the privacy terms keep the full softmax.
     """
-    if not batch:
-        raise TrainError("empty batch")
-    answers = [sorted(a) for _, a in batch]
-    if not all(answers):
-        raise TrainError("query in a public batch has no answers")
-    logp = model.log_probabilities([q for q, _ in batch], answers, rng, candidate_sample)
-    return ad.multiply(-1.0 / logp.shape[0], ad.reduce_sum(logp))
-
-
-def privacy_loss(model: Encoder, private_triples, direction: str = REVERSE_ONLY) -> ad.Tensor:
-    """Mean log-probability of private targets under one-hop projections.
-
-    Each private attribute triple (u, a, x) contributes the probability of u
-    under a backward projection anchored at x; with direction "both", the
-    forward term (probability of x from u) is averaged in as well.
-    """
-    triples = sorted(private_triples)
-    if not triples:
-        return ad.Tensor(0.0)
-    queries, targets = [], []
-    for h, r, t in triples:
+    if not batch or not all(a for _, a in batch):
+        raise TrainError("empty batch, or a query in it without answers")
+    queries, targets = [q for q, _ in batch], [sorted(a) for _, a in batch]
+    n_public = sum(map(len, targets))
+    for h, r, t in sorted(private_triples):
         queries.append(Projection(r, BACKWARD, Anchor(t)))
         targets.append([h])
         if direction == BOTH:
             queries.append(Projection(r, FORWARD, Anchor(h)))
             targets.append([t])
-    logp = model.log_probabilities(queries, targets)
-    return ad.multiply(1.0 / logp.shape[0], ad.reduce_sum(logp))
-
-
-def total_loss(model: Encoder, batch, private_triples, beta: float,
-               direction: str = REVERSE_ONLY, rng=None, candidate_sample: int = 0) -> tuple:
-    """Returns (total, L_u, L_p) with total = L_u + beta * L_p."""
-    lu = public_loss(model, batch, rng, candidate_sample)
-    lp = privacy_loss(model, private_triples, direction)
+    logp = model.log_probabilities(queries, targets, rng, candidate_sample, sampled=len(batch))
+    n_private = logp.shape[0] - n_public
+    lu = ad.multiply(-1.0 / n_public, ad.reduce_sum(ad.rows(logp, np.arange(n_public))))
+    lp = ad.multiply(1.0 / max(n_private, 1),  # no privacy terms: the empty sum, 0
+                     ad.reduce_sum(ad.rows(logp, np.arange(n_public, logp.shape[0]))))
     return lu + ad.multiply(beta, lp), lu, lp
 
 

@@ -289,6 +289,89 @@ def test_node_on_two_paths_gets_both_gradients():
     assert np.max(np.abs(x.grad - (2 + 24 * x.data ** 2))) < 1e-12
 
 
+def test_constant_operand_gets_no_gradient(monkeypatch):
+    # add, subtract, multiply and matmul compute no gradient for a constant:
+    # it is never even handed one to discard
+    handed = []
+    accumulate = ad.Tensor._accumulate
+    monkeypatch.setattr(ad.Tensor, "_accumulate",
+                        lambda self, grad: handed.append(self) or accumulate(self, grad))
+    x = ad.Tensor(rand(3, 4, seed=22), requires_grad=True)
+    consts = [ad.tensor(rand(3, 4, seed=23)), ad.tensor(rand(4, 2, seed=24))]
+    out = ad.matmul(ad.multiply(ad.subtract(ad.add(x, consts[0]), consts[0]), consts[0]),
+                    consts[1])
+    ad.reduce_sum(-out).backward()
+    assert all(c.grad is None for c in consts)
+    assert not any(t is c for t in handed for c in consts) and any(t is x for t in handed)
+    want = -np.ones((3, 2)) @ consts[1].data.T * consts[0].data
+    assert np.max(np.abs(x.grad - want)) < 1e-12
+
+
+def test_tensor_read_twice_gets_summed_gradient_that_aliases_no_upstream():
+    x = ad.Tensor(rand(3, 4, seed=25), requires_grad=True)
+    y = ad.add(x, 0.0)
+    hidden = ad.add(y, y)  # add hands the same upstream array to both operands
+    loss = ad.reduce_sum(ad.multiply(hidden, rand(3, 4, seed=26)))
+    loss.backward()
+    w = rand(3, 4, seed=26)
+    assert np.array_equal(y.grad, 2 * w) and np.array_equal(x.grad, 2 * w)
+    assert not np.shares_memory(y.grad, hidden.grad)
+    assert not np.shares_memory(x.grad, y.grad)
+
+
+# -- max over disjunct rows --------------------------------------------------------
+
+
+def _padded_max(a, index, counts):
+    """The reference composition: pad every segment to the longest by
+    repeating its last row, gather, then ``reduce_max`` over the pad axis."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    slots = starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)
+    return ad.reduce_max(ad.rows(a, index[slots]), axis=1)
+
+
+@pytest.mark.parametrize("counts", [[1, 1, 1], [2, 1, 4, 1, 2], [4, 4], [1]])
+@pytest.mark.parametrize("ties", [False, True])
+def test_segment_max_matches_padded_reduce_max(counts, ties):
+    index = np.random.default_rng(len(counts)).permutation(sum(counts))  # rows in any order
+    data = rand(sum(counts), 7, seed=27)
+    if ties:  # exact ties in every segment: the first maximal row must win
+        data = np.round(data).clip(-1, 1)
+    weights = rand(len(counts), 7, seed=28)
+    results = []
+    for fn in (ad.segment_max, _padded_max):
+        a = ad.Tensor(data, requires_grad=True)
+        out = fn(a, index, counts)
+        ad.reduce_sum(out * weights).backward()
+        results.append((out.data, a.grad))
+    assert np.array_equal(results[0][0], results[1][0])
+    assert np.array_equal(results[0][1], results[1][1])
+
+
+def test_segment_max_matches_finite_differences():
+    counts = [1, 2, 4, 1, 2]
+    index = np.random.default_rng(3).permutation(sum(counts))
+    x0 = rand(10, 5, seed=29)
+    weights = rand(5, 5, seed=30)
+
+    def loss_value(x_data):
+        x = ad.Tensor(x_data, requires_grad=True)
+        return ad.reduce_sum(ad.segment_max(ad.tanh(x), index, counts) * weights), x
+
+    out, x = loss_value(x0)
+    out.backward()
+    fd = finite_diff(lambda v: loss_value(v)[0].item(), x0)
+    assert np.max(np.abs(x.grad - fd)) / max(np.max(np.abs(fd)), 1) < 1e-6
+
+
+def test_segment_max_rejects_bad_segments():
+    a = np.zeros((3, 2))
+    for counts in ([1, 1], [1, 0, 2], [2, 2]):
+        with pytest.raises(ad.AutodiffError, match="segment_max"):
+            ad.segment_max(a, np.arange(3), counts)
+
+
 # -- fused distances ----------------------------------------------------------------
 
 

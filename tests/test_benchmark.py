@@ -208,6 +208,19 @@ def test_benchmark_files_read_like_graph_files(tmp_path, split, kg):
         read_benchmark(tmp_path / "q.tsv", kg)
 
 
+@pytest.mark.parametrize("field", range(5))
+def test_read_benchmark_names_file_and_line_of_an_unknown_name(tmp_path, split, kg, field):
+    lines = [query_line(bq, kg) for bq in sample_queries(split, "1p", 2, seed=12)]
+    fields = lines[1].split("\t")
+    # an unknown answer in an answer field; an unknown relation in the query
+    fields[field] = "(p NoSuchRelation (a zz))" if field == 0 else "zz"
+    path = tmp_path / "q.tsv"
+    path.write_text("# header\n" + lines[0] + "\n" + "\t".join(fields) + "\n", encoding="utf-8")
+    with pytest.raises(BenchmarkError, match=r"q\.tsv line 3: unknown (relation 'NoSuchRelation'|"
+                                             r"vertex 'zz')"):
+        read_benchmark(path, kg)
+
+
 # names from an alphabet of every character a reader treats specially
 NAMES = st.text(alphabet="ab\t\n\r#, (", max_size=3)
 

@@ -187,6 +187,33 @@ def test_report_refuses_a_short_row_with_its_line_number(tmp_path, capsys):
         assert not out.exists()
 
 
+HEADER = "type\tclass\tHR@1\tHR@3\tHR@10\tMRR\tcount\n"
+
+
+@pytest.mark.parametrize("bad", ["report", "baseline"])
+@pytest.mark.parametrize("text", ["", "# only a comment\n", HEADER.replace("MRR", "mrr")])
+def test_report_refuses_a_report_without_an_mrr_header(tmp_path, capsys, bad, text):
+    paths = {name: tmp_path / ("%s.tsv" % name) for name in ("report", "baseline")}
+    for name, path in paths.items():
+        path.write_text(text if name == bad else HEADER)
+    out = tmp_path / "out"
+    assert main(["report", "--eval-report", str(paths["report"]),
+                 "--baseline", str(paths["baseline"]), "--out", str(out)]) == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line == "error: %s: no header line with an MRR column" % paths[bad]
+    assert not out.exists()
+
+
+def test_report_reads_the_baseline_mrr_by_its_own_header(tmp_path):
+    (tmp_path / "report.tsv").write_text(HEADER + "1p\tpublic\t0.1\t0.2\t0.3\t0.5\t2\n")
+    swapped = HEADER.replace("HR@1", "x").replace("MRR", "HR@1").replace("x", "MRR")
+    (tmp_path / "baseline.tsv").write_text(swapped + "1p\tpublic\t0.25\t0.2\t0.3\t0.1\t2\n")
+    assert main(["report", "--eval-report", str(tmp_path / "report.tsv"),
+                 "--baseline", str(tmp_path / "baseline.tsv"), "--out", str(tmp_path / "out")]) == 0
+    body = (tmp_path / "out" / "report-merged.tsv").read_text().splitlines()
+    assert body[1].endswith("\t200.0%")
+
+
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
 def test_eval_rejects_a_bad_sigma_before_reading_files(tmp_path, capsys, sigma):
     # every input is missing, so only a check made before reading can name sigma
@@ -287,7 +314,7 @@ def test_pipeline_artifacts_pinned_and_repeatable(tmp_path):
 # and the merged report, run on the benchmark that _run_pipeline builds
 
 MODEL_DIGESTS = {
-    "train/model.ckpt": "270cb8f1b0516f2d1f7f96110fd21e61ec9e5cd9e51fe647f016f8587b958414",
+    "train/model.ckpt": "cc9e3a906b7dce8d0e33ac65a7cfbfc9d96763af85a2459c053b4f782f5bc2ea",
     "train/trace.csv": "0735489e0d88c5099bf8da112965cab258a30e104b8d93ae0c5984da8f4e115e",
     "eval/report.tsv": "e8311d35743efe0228b2f11afdd817dd49394742f240b147c1408f1d98e2772b",
     "eval/ranks.json": "b087690a2eb898cf83ea73800c279d71388ea3cfabf5d2ce0bfe3b470c4c80d4",

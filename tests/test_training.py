@@ -14,8 +14,7 @@ from privkg.queries import (BACKWARD, FORWARD, QUERY_TYPES, Anchor, Intersection
                             Projection, Union, classify_type, parse_query)
 from privkg.symbolic import TaggedAnswerSet
 from privkg.training import (BOTH, REVERSE_ONLY, NoiseConfig, TrainConfig,
-                             TrainError, noisy_scores_all, privacy_loss,
-                             public_loss, total_loss, train)
+                             TrainError, noisy_scores_all, total_loss, train)
 
 
 def _uniform_model(graph, dim=4, seed=0):
@@ -23,6 +22,17 @@ def _uniform_model(graph, dim=4, seed=0):
     m = make_encoder("gqe", graph, dim=dim, seed=seed)
     m.ent.data[:] = m.ent.data[0]
     return m
+
+
+def public_loss(m, batch, rng=None, candidate_sample=0):
+    """L_u of ``batch`` as ``total_loss`` returns it."""
+    return total_loss(m, batch, [], 0.0, rng=rng, candidate_sample=candidate_sample)[1]
+
+
+def privacy_loss(m, private_triples, direction=REVERSE_ONLY):
+    """L_p of ``private_triples`` as ``total_loss`` returns it, beside a one-pair batch."""
+    q = Projection(0, FORWARD, Anchor(0))
+    return total_loss(m, [(q, [0])], private_triples, 1.0, direction)[2]
 
 
 def _bench(query, qtype, train_answers, test_public=(), test_private=()):
@@ -184,15 +194,34 @@ def test_total_loss_matches_query_by_query(mixed_batch, kind, candidate_sample):
     got = grads(total)
     rng = random.Random(1)
     n_pairs = sum(len(a) for _, a in batch)
-    parts = [ad.multiply(len(a) / n_pairs, public_loss(m, [(q, a)], rng, candidate_sample))
+    parts = [ad.multiply(-1.0 / n_pairs,
+                         ad.reduce_sum(m.log_probabilities([q], [sorted(a)], rng, candidate_sample)))
              for q, a in batch]
-    parts += [ad.multiply(0.5 / len(private), privacy_loss(m, [t], BOTH)) for t in private]
+    for h, r, t in private:
+        for query, target in ((Projection(r, BACKWARD, Anchor(t)), h),
+                              (Projection(r, FORWARD, Anchor(h)), t)):
+            parts.append(ad.multiply(0.5 / (2 * len(private)),
+                                     ad.reduce_sum(m.log_probabilities([query], [[target]]))))
     composed = functools.reduce(ad.add, parts)
     assert abs(total.item() - composed.item()) <= 1e-12 * abs(composed.item())
     want = grads(composed)
     assert got.keys() == want.keys()
     for name in want:
         assert np.max(np.abs(got[name] - want[name])) <= 1e-12, name
+
+
+@pytest.mark.parametrize("kind", ["gqe", "q2b", "q2p"])
+def test_total_loss_scores_once_per_embedding_width(mixed_batch, kind, monkeypatch):
+    g, batch, private = mixed_batch
+    m = make_encoder(kind, g, dim=5, seed=2, n_particles=2)
+    widths = []
+    scores = m.scores
+    monkeypatch.setattr(m, "scores", lambda emb: widths.append(emb[0].shape[1:]) or scores(emb))
+    total_loss(m, batch, private, 0.5, BOTH)
+    assert len(widths) == len(set(widths))
+    # Q2P's particle count grows at each intersection: 2 (projections), 4 (2i, pi,
+    # ip), 6 (3i); the vector and box models have one width
+    assert sorted(w[0] for w in widths) == ([2, 4, 6] if kind == "q2p" else [5])
 
 
 def test_config_validation():
