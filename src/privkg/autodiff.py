@@ -5,10 +5,10 @@ walks the recorded graph once. No graph reuse across steps.
 
 Encoders score against the whole entity table through two fused ops, each one
 tape node that keeps no (B, n, d) array: ``distances`` (Euclidean; GQE and
-Q2P) and ``box_distances`` (Query2Box's clipped L1; Q2B). ``segment_max``
-takes the max over each query's disjunct rows, only where a query has more
-than one. Backward computes no gradient for an operand that does not require
-one, and stores a copy of a tensor's first gradient.
+Q2P) and ``box_distances`` (Query2Box's clipped L1; Q2B); a third,
+``segment_log_softmax``, takes their scores to picked log-probabilities.
+Backward computes no gradient for an operand that does not require one, and
+stores a copy of a tensor's first gradient.
 """
 
 from __future__ import annotations
@@ -67,9 +67,8 @@ class Tensor:
                 todo.extend((p, False) for p in reversed(node.parents))
         self.grad = np.ones((), dtype=np.float64)
         for node in reversed(topo):
-            if node._backward is None or not node.requires_grad:
-                continue
-            node._backward(node.grad)
+            if node._backward is not None and node.requires_grad:
+                node._backward(node.grad)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
@@ -177,12 +176,8 @@ def concat(parts, axis=0) -> Tensor:
     sizes = [p.data.shape[axis] for p in parts]
 
     def back(g):
-        offset = 0
-        for p, size in zip(parts, sizes):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(offset, offset + size)
-            p._accumulate(g[tuple(index)])
-            offset += size
+        for p, piece in zip(parts, np.split(g, np.cumsum(sizes)[:-1], axis=axis)):
+            p._accumulate(piece)
 
     out._backward = back
     return out
@@ -251,8 +246,7 @@ def reduce_mean(a, axis=None) -> Tensor:
 
 def _reduce_extreme(a, axis, argfn, redfn):
     a = tensor(a)
-    out_data = redfn(a.data, axis=axis)
-    out = Tensor(out_data, (a,))
+    out = Tensor(redfn(a.data, axis=axis), (a,))
 
     def back(g):
         # subgradient: route everything to the first extremal position
@@ -271,35 +265,6 @@ def reduce_min(a, axis=0) -> Tensor:
 
 def reduce_max(a, axis=0) -> Tensor:
     return _reduce_extreme(a, axis, np.argmax, np.max)
-
-
-def segment_max(a, index, counts) -> Tensor:
-    """Row i is the elementwise max of the ``counts[i]`` rows of ``a`` (R, n) listed
-    next in ``index``, each row listed at most once. One-row segments are copied;
-    only longer ones take a max, ties going to the first maximal row as in
-    ``reduce_max``. Backward assigns each gradient to its one source row."""
-    a, index, counts = tensor(a), np.asarray(index, dtype=np.intp), np.asarray(counts)
-    if counts.min(initial=1) < 1 or counts.sum() != index.size:
-        raise AutodiffError("segment_max needs segments of >= 1 row covering the index")
-    starts = np.cumsum(counts) - counts
-    first, multi, cols = index[starts], np.flatnonzero(counts > 1), np.arange(a.shape[1])
-    # pad each longer segment to the longest by repeating its last row (the max is
-    # unchanged); ``source`` (m, n) is the row each of their maxima came from
-    pad = index[starts[multi, None] + np.minimum(np.arange(counts.max()), counts[multi, None] - 1)]
-    source = np.take_along_axis(pad, a.data[pad].argmax(axis=1), axis=1)
-    data = a.data[first]
-    data[multi] = a.data[source, cols]
-    out = Tensor(data, (a,))
-
-    def back(g):
-        grad = np.zeros_like(a.data)
-        grad[first] = g
-        grad[first[multi]] = 0.0
-        grad[source, cols] = g[multi]
-        a._accumulate(grad)
-
-    out._backward = back
-    return out
 
 
 # -- elementwise nonlinearities -------------------------------------------
@@ -361,14 +326,17 @@ def distances(rows, table) -> Tensor:
     sq = q @ e.T  # in place from here: a step holds few (B, n) temporaries at once
     sq *= -2.0
     sq += norms
-    i, j = np.nonzero(sq < np.multiply(norms, _NEAR, out=norms))
+    # flatnonzero plus divmod gives np.nonzero's (i, j) order without its 2-d slow path
+    i, j = np.divmod(np.flatnonzero(sq < np.multiply(norms, _NEAR, out=norms)), e.shape[0])
     near = q[i] - e[j]
     sq[i, j] = (near * near).sum(axis=1)
     dist = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
     out = Tensor(dist, (rows, table))
 
     def back(g):
-        w = np.divide(g, dist, out=np.zeros_like(dist), where=dist > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = g / dist
+        w[~(dist > 0)] = 0.0  # a zero or NaN distance passes no gradient
         pair = w[i, j][:, None] * near
         w[i, j] = 0.0
         if rows.requires_grad:
@@ -455,16 +423,47 @@ def softmax(a, axis=-1) -> Tensor:
     return out
 
 
-def log_softmax(a, axis=-1) -> Tensor:
-    a = tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
-    out = Tensor(y, (a,))
+def segment_log_softmax(a, index, counts, owner, picks, mask=None) -> Tensor:
+    """Picked log-probabilities of segment maxima, as one tape node: row i of the
+    (Q, n) block is the elementwise max of the ``counts[i]`` rows of ``a`` listed
+    next in ``index`` (each once; ties go to the first), plus ``mask[i]`` if given,
+    log-softmax normalised; output k is row ``owner[k]`` at column ``picks[k]``.
+    Values and gradients equal segment max, add, log-softmax and ``rows`` bit for bit."""
+    a, index, counts = tensor(a), np.asarray(index, dtype=np.intp), np.asarray(counts)
+    owner, picks, n = np.asarray(owner, dtype=np.intp), np.asarray(picks, dtype=np.intp), a.shape[1]
+    if counts.min(initial=1) < 1 or counts.sum() != index.size or owner.shape != picks.shape \
+            or ((picks < 0) | (picks >= n) | (owner < 0) | (owner >= counts.size)).any():
+        raise AutodiffError("segment_log_softmax needs segments of >= 1 row covering the index"
+                            " and one owner row per pick, both in range")
+    starts = np.cumsum(counts) - counts
+    first, multi, cols = index[starts], np.flatnonzero(counts > 1), np.arange(n)
+    # longer segments padded by their last row; ``source``: argmax's pick, without its slow loop
+    pad = index[starts[multi, None] + np.minimum(np.arange(counts.max()), counts[multi, None] - 1)]
+    vals = a.data[pad]
+    hit = (vals == vals.max(axis=1, keepdims=True)) | np.isnan(vals)
+    source = np.empty((multi.size, n), dtype=np.intp)
+    for k in range(pad.shape[1] - 1, -1, -1):
+        np.copyto(source, pad[:, k, None], where=hit[:, k])
+    s = a.data[first]
+    s[multi] = a.data[source, cols]
+    if mask is not None:
+        s += mask
+    shifted = s - s.max(axis=1, keepdims=True)
+    y = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    flat = owner * n + picks
+    out = Tensor(y.reshape(-1)[flat], (a,))
 
     def back(g):
-        # refers to y, not to out: a closure holding its own node is a cycle
-        a._accumulate(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+        dense = np.zeros_like(y)
+        np.add.at(dense.reshape(-1), flat, g)
+        e = np.exp(y)
+        e *= dense.sum(axis=1, keepdims=True)
+        dense -= e
+        grad = np.zeros_like(a.data)
+        grad[first] = dense
+        grad[first[multi]] = 0.0
+        grad[source, cols] = dense[multi]
+        a._accumulate(grad)
 
     out._backward = back
     return out
@@ -567,8 +566,7 @@ class ParameterStore:
 
 class SGD:
     def __init__(self, store: ParameterStore, lr: float):
-        self.store = store
-        self.lr = lr
+        self.store, self.lr = store, lr
 
     def step(self) -> None:
         for name, p in self.store.params.items():
@@ -582,8 +580,7 @@ class SGD:
 
 class Adam:
     def __init__(self, store: ParameterStore, lr: float):
-        self.store = store
-        self.lr = lr
+        self.store, self.lr = store, lr
         self.m = {n: np.zeros_like(p.data) for n, p in store.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in store.params.items()}
         self.t = 0

@@ -3,14 +3,15 @@ particle-set model (Q2P-style).
 
 Every primitive maps a batch of rows (one per union-free DNF disjunct) to a
 batch; disjuncts of one shape are encoded together by index-array gathers.
-``log_probabilities`` is the one path from queries to target log-probabilities;
-it scores the groups of one embedding width with one ``scores`` call.
+``log_probabilities`` is the one path from queries, and one-hop index arrays,
+to target log-probabilities: one ``scores`` call per embedding width, one tail.
 Backward projections use a dedicated inverse-relation row per relation.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from typing import NamedTuple
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .graph import KnowledgeGraph
-from .queries import BACKWARD, Anchor, Projection, QueryNode, shape, to_dnf
+from .queries import BACKWARD, Anchor, Projection, QueryNode
 
 DEFAULT_DIM = 64
 DEFAULT_PARTICLES = 3
@@ -52,14 +53,6 @@ def _xavier(rng, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
-def _group_by_shape(nodes) -> list:
-    """Indices of ``nodes`` grouped by shape, groups in order of first appearance."""
-    groups: dict = {}
-    for i, node in enumerate(nodes):
-        groups.setdefault(shape(node), []).append(i)
-    return list(groups.values())
-
-
 class Encoder:
     kind = "base"
 
@@ -68,11 +61,10 @@ class Encoder:
         if dim < 1 or n_particles < 1:
             raise EncoderError("dim and n_particles must be >= 1, got %r and %r"
                                % (dim, n_particles))
-        self.graph = graph
-        self.dim = dim
-        self.n_particles = n_particles
+        self.graph, self.dim, self.n_particles = graph, dim, n_particles
         self.store = ParameterStore()
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)  # every encoder draws its entity table first
+        self.ent = self.store.add("ent", _uniform(rng, (graph.num_vertices(), dim), 1 / np.sqrt(dim)))
         self._build(rng)
 
     # -- subclass surface: every primitive maps B rows to B rows ---------------
@@ -108,9 +100,27 @@ class Encoder:
         return 2 * np.asarray(rels, dtype=np.intp) + (np.asarray(directions) == BACKWARD)
 
     def encode(self, q: QueryNode) -> list:
-        """Embeddings of the DNF disjuncts, one per shape (``_group_by_shape``)."""
-        dnf = to_dnf(q)
-        return [self._encode_group([dnf[i] for i in idx]) for idx in _group_by_shape(dnf)]
+        """Embeddings of the DNF disjuncts, one per shape (``_encode_groups``)."""
+        return [emb for _, emb in self._encode_groups(q.disjuncts)]
+
+    def _encode_groups(self, nodes, hops=None):
+        """(indices, embedding) per shape of ``nodes``, in order of first appearance; the
+        terms of ``hops`` (indices len(nodes) on) follow the (p a) nodes, or come last."""
+        groups: dict = {}
+        for i, node in enumerate(nodes):
+            groups.setdefault(node.signature, []).append(i)
+        n = len(nodes)
+        if hops and len(hops[0]):
+            groups.setdefault(("p", "a"), []).extend(range(n, n + len(hops[0])))
+        for idx in groups.values():
+            group = [nodes[i] for i in idx if i < n]
+            if idx[-1] < n:
+                yield idx, self._encode_group(group)
+                continue
+            fields = ([g.child.vertex for g in group], [g.rel for g in group],
+                      [g.direction for g in group])
+            anchor, rel, direction = (f + h.tolist() for f, h in zip(fields, hops))
+            yield idx, self.project(self.anchor(anchor), rel, direction)
 
     def _encode_group(self, nodes):
         """Encode same-shaped union-free nodes; one primitive call per operator."""
@@ -131,29 +141,27 @@ class Encoder:
         return ad.reshape(s, s.shape[1:]) if s.shape[0] == 1 else ad.reduce_max(s, axis=0)
 
     def log_probabilities(self, queries: list, targets: list, rng=None,
-                          candidate_sample: int = 0, sampled: int | None = None) -> Tensor:
-        """Log-probability of every (query, target) pair, in query then target order.
+                          candidate_sample: int = 0, hops=None) -> Tensor:
+        """Log-probability of every (query, target) pair, in query then target
+        order, then of each one-hop term k of ``hops`` (arrays anchor, relation,
+        direction, target): that of ``target[k]`` from ``anchor[k]``.
 
-        The disjuncts of all queries are grouped by shape and each group is
-        encoded at once. Groups whose embeddings agree in per-row field shapes
-        (one width) are concatenated and scored by one ``scores`` call. A query
-        scores a vertex by the max over its disjuncts, taken only where it has
-        more than one, and one log-softmax normalises each query over all
-        vertices. With ``candidate_sample`` > 0, each of the first ``sampled``
-        queries (default: all) normalises instead over its targets plus that
-        many vertices from ``rng.sample`` (one draw per query, in order)."""
+        Disjuncts and hops are encoded in shape groups (``_encode_groups``), each
+        width scored by one ``scores`` call; ``ad.segment_log_softmax`` takes each
+        query's max over its disjunct rows and its log-softmax over all vertices,
+        or with ``candidate_sample`` > 0 (queries, not hops) over its targets plus
+        that many vertices from ``rng.sample`` (one draw per query, in order)."""
         if not queries or len(queries) != len(targets):
             raise EncoderError("need one target list per query and at least one query")
-        nv = self.graph.num_vertices()
-        targets = [np.asarray(t, dtype=np.intp) for t in targets]
-        picks = np.concatenate(targets)
+        nv, nq, n_hops = self.graph.num_vertices(), len(queries), len(hops[0]) if hops else 0
+        sizes = [len(t) for t in targets] + [1] * n_hops
+        picks = np.fromiter(itertools.chain(*targets, hops[3] if n_hops else ()), dtype=np.intp)
         if ((picks < 0) | (picks >= nv)).any():
             raise EncoderError("target vertex id out of range")
-        dnfs = [to_dnf(q) for q in queries]
-        flat = [d for ds in dnfs for d in ds]
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        dnfs = [q.disjuncts for q in queries]
         widths: dict = {}  # per-row field shapes -> (disjunct indices, embeddings)
-        for idx in _group_by_shape(flat):
-            emb = self._encode_group([flat[i] for i in idx])
+        for idx, emb in self._encode_groups([d for ds in dnfs for d in ds], hops):
             order, embs = widths.setdefault(tuple(t.shape[1:] for t in emb), ([], []))
             order.extend(idx)
             embs.append(emb)
@@ -163,17 +171,15 @@ class Encoder:
         scores = ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
         # score row of each disjunct, in query order
         index = np.argsort(np.concatenate([order for order, _ in widths.values()]))
-        scores = ad.segment_max(scores, index, [len(ds) for ds in dnfs])
+        mask = None
         if candidate_sample > 0:
-            mask = np.zeros((len(queries), nv))
-            for i, t in enumerate(targets[:sampled]):
-                mask[i] = -np.inf
-                mask[i, t] = 0.0
+            mask = np.zeros((len(sizes), nv))
+            mask[:nq] = -np.inf  # exp(-inf) = 0 outside the candidates
+            mask[owner, picks] = 0.0
+            for i in range(nq):
                 mask[i, rng.sample(range(nv), min(candidate_sample, nv))] = 0.0
-            scores = scores + ad.Tensor(mask)  # exp(-inf) = 0 outside the candidates
-        logp = ad.reshape(ad.log_softmax(scores, axis=1), (-1,))
-        owner = np.repeat(np.arange(len(queries)), [t.size for t in targets])
-        return ad.rows(logp, owner * nv + picks)
+        return ad.segment_log_softmax(scores, index, [len(ds) for ds in dnfs] + [1] * n_hops,
+                                      owner, picks, mask)
 
     def post_step(self) -> None:
         """Hook applied after each optimizer step (constraint re-projection)."""
@@ -216,9 +222,8 @@ class GQEEncoder(Encoder):
     kind = "gqe"
 
     def _build(self, rng):
-        nv, nr, d = self.graph.num_vertices(), len(self.graph.relations), self.dim
+        nr, d = len(self.graph.relations), self.dim
         limit = 1.0 / np.sqrt(d)
-        self.ent = self.store.add("ent", _uniform(rng, (nv, d), limit))
         self.rel = self.store.add("rel", _uniform(rng, (2 * nr, d), limit))
         self.ffn_w = self.store.add("int.ffn_w", _xavier(rng, d, d))
         self.ffn_b = self.store.add("int.ffn_b", np.zeros(d))
@@ -248,9 +253,8 @@ class Q2BEncoder(Encoder):
     alpha = DEFAULT_ALPHA
 
     def _build(self, rng):
-        nv, nr, d = self.graph.num_vertices(), len(self.graph.relations), self.dim
+        nr, d = len(self.graph.relations), self.dim
         limit = 1.0 / np.sqrt(d)
-        self.ent = self.store.add("ent", _uniform(rng, (nv, d), limit))
         self.rel_c = self.store.add("rel_c", _uniform(rng, (2 * nr, d), limit))
         # offsets stay elementwise >= 0: |uniform| init plus post-step clamping
         self.rel_o = self.store.add("rel_o", np.abs(_uniform(rng, (2 * nr, d), limit)))
@@ -305,10 +309,8 @@ class Q2PEncoder(Encoder):
     kind = "q2p"
 
     def _build(self, rng):
-        nv, nr, d, k = (self.graph.num_vertices(), len(self.graph.relations),
-                        self.dim, self.n_particles)
+        nr, d, k = len(self.graph.relations), self.dim, self.n_particles
         limit = 1.0 / np.sqrt(d)
-        self.ent = self.store.add("ent", _uniform(rng, (nv, d), limit))
         self.rel = self.store.add("rel", _uniform(rng, (2 * nr, d), limit))
         # per-particle offsets break the symmetry of duplicated anchor particles
         self.part_init = self.store.add("part_init", _uniform(rng, (k, d), limit))

@@ -260,8 +260,8 @@ def read_tsv(path, n_fields, what, linenos=False):
     if set(map(str.count, data, itertools.repeat("\t"))) - {n_fields - 1}:
         lineno, line = next((i, line) for i, line in enumerate(lines, 1)
                             if line and line[0] != "#" and line.count("\t") != n_fields - 1)
-        raise GraphError("%s: malformed line %d (expected %d tab-separated fields): %r"
-                         % (what, lineno, n_fields, line))
+        raise GraphError("%s: malformed line %d of %s (expected %d tab-separated fields): %r"
+                         % (what, lineno, path, n_fields, line))
     fields = "\t".join(data).split("\t") if data else []
     return (fields, [i for i, line in enumerate(lines, 1) if line and line[0] != "#"]) \
         if linenos else fields

@@ -12,6 +12,8 @@ Negation is not part of the fragment and is rejected at parse time.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Union as TyUnion
@@ -23,25 +25,31 @@ class QueryError(Exception):
     pass
 
 
+class _Node:
+    """Disjuncts and shape, kept from the first read (nodes are immutable)."""
+    disjuncts = functools.cached_property(lambda self: to_dnf(self))
+    signature = functools.cached_property(lambda self: shape(self))
+
+
 @dataclass(frozen=True)
-class Anchor:
+class Anchor(_Node):
     vertex: int
 
 
 @dataclass(frozen=True)
-class Projection:
+class Projection(_Node):
     rel: int
     direction: str
     child: "QueryNode"
 
 
 @dataclass(frozen=True)
-class Intersection:
+class Intersection(_Node):
     children: tuple
 
 
 @dataclass(frozen=True)
-class Union:
+class Union(_Node):
     children: tuple
 
 
@@ -144,18 +152,12 @@ def _dnf(q: QueryNode) -> list:
             return [q]
         return [Projection(q.rel, q.direction, d) for d in disjuncts]
     if isinstance(q, Union):
-        out = []
-        for c in q.children:
-            out.extend(_dnf(c))
-        return out
+        return [d for c in q.children for d in _dnf(c)]
     if isinstance(q, Intersection):
         per_child = [_dnf(c) for c in q.children]
         if all(len(ds) == 1 and ds[0] is c for ds, c in zip(per_child, q.children)):
             return [q]
-        combos = [()]
-        for child_disjuncts in per_child:
-            combos = [prefix + (d,) for prefix in combos for d in child_disjuncts]
-        return [Intersection(combo) for combo in combos]
+        return [Intersection(combo) for combo in itertools.product(*per_child)]
     raise QueryError("not a query node: %r" % (q,))
 
 

@@ -3,7 +3,7 @@ obfuscation loss, their beta-weighted sum, plus the inference-time
 noise-perturbation baseline.
 
 One training step is one scoring pass: ``total_loss`` puts the batch's public
-(query, answers) pairs and the private one-hop terms into one
+(query, answers) pairs and the private one-hop terms, as index arrays, into one
 ``log_probabilities`` call, and L_u and L_p are the means of its two segments.
 The privacy term carries a positive log-probability of the private target, so
 minimizing the total loss pushes that probability down.
@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .benchmark import BenchmarkQuery, training_subset
 from .encoders import Encoder
-from .queries import BACKWARD, FORWARD, Anchor, Projection
+from .queries import BACKWARD, FORWARD
 
 REVERSE_ONLY = "reverse-only"
 BOTH = "both"
@@ -90,13 +90,13 @@ def total_loss(model: Encoder, batch, private_triples, beta: float,
         raise TrainError("empty batch, or a query in it without answers")
     queries, targets = [q for q, _ in batch], [sorted(a) for _, a in batch]
     n_public = sum(map(len, targets))
-    for h, r, t in sorted(private_triples):
-        queries.append(Projection(r, BACKWARD, Anchor(t)))
-        targets.append([h])
-        if direction == BOTH:
-            queries.append(Projection(r, FORWARD, Anchor(h)))
-            targets.append([t])
-    logp = model.log_probabilities(queries, targets, rng, candidate_sample, sampled=len(batch))
+    # per sorted private triple (h, r, t): anchor t, target h; with "both", then anchor h, target t
+    h, r, t = np.array(sorted(private_triples), dtype=np.intp).reshape(-1, 3).T
+    hops = (t, r, np.full(r.size, BACKWARD), h)
+    if direction == BOTH:
+        hops = tuple(np.stack(pair, axis=1).ravel()
+                     for pair in zip(hops, (h, r, np.full(r.size, FORWARD), t)))
+    logp = model.log_probabilities(queries, targets, rng, candidate_sample, hops)
     n_private = logp.shape[0] - n_public
     lu = ad.multiply(-1.0 / n_public, ad.reduce_sum(ad.rows(logp, np.arange(n_public))))
     lp = ad.multiply(1.0 / max(n_private, 1),  # no privacy terms: the empty sum, 0
@@ -125,10 +125,8 @@ def train(model: Encoder, queries: list[BenchmarkQuery], private_triples,
         steps = 0
         for start in range(0, len(order), config.batch_size):
             batch = [(bq.query, bq.train_answers) for bq in order[start:start + config.batch_size]]
-            if config.beta > 0 and private_pool:
-                sample = rng.sample(private_pool, min(config.private_batch, len(private_pool)))
-            else:
-                sample = []
+            sample = (rng.sample(private_pool, min(config.private_batch, len(private_pool)))
+                      if config.beta > 0 and private_pool else [])
             loss, lu, lp = total_loss(model, batch, sample, config.beta,
                                       config.privacy_direction, rng, config.candidate_sample)
             if not np.isfinite(loss.data):

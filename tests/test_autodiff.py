@@ -264,7 +264,7 @@ def test_tape_freed_by_reference_counting():
     x = ad.Tensor(rand(5, 3, seed=21), requires_grad=True)
     gc.disable()
     try:
-        hidden = ad.log_softmax(ad.multiply(x, x), axis=1)
+        hidden = ops.log_softmax(ad.multiply(x, x), axis=1)
         probe = weakref.ref(hidden)
         loss = ad.reduce_sum(ops.exp(hidden) + hidden)
         del hidden
@@ -340,7 +340,7 @@ def test_segment_max_matches_padded_reduce_max(counts, ties):
         data = np.round(data).clip(-1, 1)
     weights = rand(len(counts), 7, seed=28)
     results = []
-    for fn in (ad.segment_max, _padded_max):
+    for fn in (ops.segment_max, _padded_max):
         a = ad.Tensor(data, requires_grad=True)
         out = fn(a, index, counts)
         ad.reduce_sum(out * weights).backward()
@@ -357,7 +357,7 @@ def test_segment_max_matches_finite_differences():
 
     def loss_value(x_data):
         x = ad.Tensor(x_data, requires_grad=True)
-        return ad.reduce_sum(ad.segment_max(ad.tanh(x), index, counts) * weights), x
+        return ad.reduce_sum(ops.segment_max(ad.tanh(x), index, counts) * weights), x
 
     out, x = loss_value(x0)
     out.backward()
@@ -369,7 +369,92 @@ def test_segment_max_rejects_bad_segments():
     a = np.zeros((3, 2))
     for counts in ([1, 1], [1, 0, 2], [2, 2]):
         with pytest.raises(ad.AutodiffError, match="segment_max"):
-            ad.segment_max(a, np.arange(3), counts)
+            ops.segment_max(a, np.arange(3), counts)
+
+
+# -- from disjunct scores to picked log-probabilities -------------------------------
+
+
+def _composed_log_softmax(a, index, counts, owner, picks, mask=None):
+    """The chain ``segment_log_softmax`` fuses: segment max, mask, log-softmax,
+    reshape, rows."""
+    s = ops.segment_max(a, index, counts)
+    if mask is not None:
+        s = s + ad.Tensor(mask)
+    flat = np.asarray(owner) * a.shape[1] + np.asarray(picks)
+    return ad.rows(ad.reshape(ops.log_softmax(s, axis=1), (-1,)), flat)
+
+
+def _segment_case(counts, seed, ties=False, masked=False, n=9):
+    """Rows in any order, several picks per query (one of them twice), and a
+    candidate mask of -inf outside each masked query's picks and two more columns."""
+    rng = np.random.default_rng(seed)
+    index = rng.permutation(sum(counts))
+    data = rand(sum(counts), n, seed=seed)
+    if ties:  # exact ties in every segment: the first maximal row must win
+        data = np.round(data).clip(-1, 1)
+    owner = np.repeat(np.arange(len(counts)), 3)
+    picks = rng.integers(0, n, size=owner.size)
+    picks[1] = picks[0]  # a pair picked twice sums both gradients
+    mask = None
+    if masked:
+        mask = np.zeros((len(counts), n))
+        mask[::2] = -np.inf  # every other query is sampled, the rest keep the full softmax
+        mask[owner, picks] = 0.0
+        mask[np.arange(0, len(counts), 2)[:, None], rng.integers(0, n, size=(1, 2))] = 0.0
+    return index, data, owner, picks, mask
+
+
+@pytest.mark.parametrize("counts", [[1, 1, 1], [2, 1, 4, 1, 2], [4, 4], [1]])
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("masked", [False, True])
+def test_segment_log_softmax_matches_composition_bit_for_bit(counts, ties, masked):
+    index, data, owner, picks, mask = _segment_case(counts, len(counts), ties, masked)
+    weights = rand(owner.size, seed=31)
+    results = []
+    for fn in (ad.segment_log_softmax, _composed_log_softmax):
+        x = ad.Tensor(data, requires_grad=True)
+        a = ad.multiply(x, 1.0)  # a non-leaf operand, as scores are
+        out = fn(a, index, counts, owner, picks, mask)
+        ad.reduce_sum(out * weights).backward()
+        results.append((out.data, x.grad))
+    assert np.array_equal(results[0][0], results[1][0])
+    assert np.array_equal(results[0][1], results[1][1])
+    assert np.isfinite(results[0][0]).all()
+
+
+def test_segment_log_softmax_is_one_tape_node():
+    index, data, owner, picks, mask = _segment_case([2, 1, 4], 5, masked=True)
+    a = ad.Tensor(data, requires_grad=True)
+    out = ad.segment_log_softmax(a, index, [2, 1, 4], owner, picks, mask)
+    assert out.parents == (a,)
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_segment_log_softmax_matches_finite_differences(masked):
+    counts = [1, 2, 4, 1, 2]
+    index, x0, owner, picks, mask = _segment_case(counts, 6, masked=masked, n=5)
+    weights = rand(owner.size, seed=32)
+
+    def loss_value(x_data):
+        x = ad.Tensor(x_data, requires_grad=True)
+        out = ad.segment_log_softmax(ad.tanh(x), index, counts, owner, picks, mask)
+        return ad.reduce_sum(out * weights), x
+
+    out, x = loss_value(x0)
+    out.backward()
+    fd = finite_diff(lambda v: loss_value(v)[0].item(), x0)
+    assert np.max(np.abs(x.grad - fd)) / max(np.max(np.abs(fd)), 1) < 1e-6
+
+
+def test_segment_log_softmax_rejects_bad_segments_and_picks():
+    a = np.zeros((3, 2))
+    for counts in ([1, 1], [1, 0, 2], [2, 2]):
+        with pytest.raises(ad.AutodiffError, match="segment_log_softmax"):
+            ad.segment_log_softmax(a, np.arange(3), counts, [0], [0])
+    for owner, picks in (([0], [-1]), ([0], [2]), ([-1], [0]), ([3], [0]), ([0, 1], [0])):
+        with pytest.raises(ad.AutodiffError, match="segment_log_softmax"):
+            ad.segment_log_softmax(a, np.arange(3), [1, 1, 1], owner, picks)
 
 
 # -- fused distances ----------------------------------------------------------------
@@ -385,7 +470,7 @@ def _distance_loss(fn, q_data, e_data, weights):
     q = ad.Tensor(q_data, requires_grad=True)
     e = ad.Tensor(e_data, requires_grad=True)
     dist = fn(q, e)
-    loss = ad.reduce_sum(ad.Tensor(weights) * ad.log_softmax(-dist, axis=1))
+    loss = ad.reduce_sum(ad.Tensor(weights) * ops.log_softmax(-dist, axis=1))
     loss.backward()
     return dist.data, q.grad, e.grad
 
@@ -421,6 +506,35 @@ def test_distances_of_exact_duplicate_has_zero_gradient():
     assert dist.data[0, 2] == 0.0 and dist.data[1, 4] == 0.0
     ad.reduce_sum(dist * pick).backward()
     assert not q.grad.any() and not e.grad.any()
+
+
+def test_distances_near_pairs_over_many_rows_and_columns():
+    # exact matches spread over rows and columns, with duplicate rows on both
+    # sides, plus one near pair that is not a match
+    rng = np.random.default_rng(7)
+    e = rng.normal(size=(40, 6))
+    e[7] = e[3]
+    q = rng.normal(size=(12, 6))
+    q[0] = q[5] = e[3]
+    q[2], q[9], q[11] = e[10], e[39], e[0]
+    q[4] = e[20] + 1e-9
+    matches = [(0, 3), (0, 7), (5, 3), (5, 7), (2, 10), (9, 39), (11, 0)]
+    rows, cols = zip(*matches)
+    pick = np.zeros((12, 40))
+    pick[rows, cols] = 1.0
+    qt, et = ad.Tensor(q, requires_grad=True), ad.Tensor(e, requires_grad=True)
+    dist = ad.distances(qt, et)
+    assert (dist.data[rows, cols] == 0.0).all()
+    ad.reduce_sum(dist * pick).backward()
+    assert not qt.grad.any() and not et.grad.any()
+    weights = rng.normal(size=(12, 40))
+    got = _distance_loss(ad.distances, q, e, weights)
+    want = _distance_loss(difference_form_distances, q, e, weights)
+    assert 0.0 < got[0][4, 20] < 1e-8
+    assert np.max(np.abs(got[0] - want[0])) <= 1e-12 * np.max(want[0])
+    largest = max(np.max(np.abs(want[1])), np.max(np.abs(want[2])))
+    for g, w in zip(got[1:], want[1:]):
+        assert np.max(np.abs(g - w)) <= 1e-12 * largest
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -221,6 +221,14 @@ def test_read_benchmark_names_file_and_line_of_an_unknown_name(tmp_path, split, 
         read_benchmark(path, kg)
 
 
+def test_malformed_benchmark_line_names_role_file_and_line(tmp_path, kg):
+    path = tmp_path / "queries-1p.tsv"
+    path.write_text("a\tb\n", encoding="utf-8")
+    with pytest.raises(GraphError) as err:
+        read_benchmark(path, kg)
+    assert str(err.value).startswith("benchmark: malformed line 1 of %s (expected 5 " % path)
+
+
 # names from an alphabet of every character a reader treats specially
 NAMES = st.text(alphabet="ab\t\n\r#, (", max_size=3)
 

@@ -418,7 +418,7 @@ def test_log_probabilities_match_scores_all(models, toy_graph):
     everyone = list(range(toy_graph.num_vertices()))
     for m in models.values():
         got = m.log_probabilities(queries, [everyone] * len(queries)).data
-        want = [ad.log_softmax(m.scores_all(m.encode(q)), axis=0).data for q in queries]
+        want = [ops.log_softmax(m.scores_all(m.encode(q)), axis=0).data for q in queries]
         assert np.max(np.abs(got - np.concatenate(want))) < 1e-12
 
 
@@ -428,9 +428,34 @@ def test_score_shift_invariance(models, toy_graph):
     q = parse_query("(p LiveIn (a Hinton))", toy_graph)
     scores = m.scores_all(m.encode(q)).data
     logp = m.log_probabilities([q], [list(range(toy_graph.num_vertices()))])
-    shifted = ad.log_softmax(ad.Tensor(scores + 42.0), axis=0)
+    shifted = ops.log_softmax(ad.Tensor(scores + 42.0), axis=0)
     assert np.max(np.abs(np.exp(logp.data) - np.exp(shifted.data))) < 1e-12
     assert list(np.argsort(-scores)) == list(np.argsort(-(scores + 42.0)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_hops_equal_the_same_one_hop_queries(models, toy_graph, kind):
+    # forward-only hops beside a backward one-hop query and a two-hop one:
+    # the terms read as the queries (p r (a v)) appended to the list would
+    m = models[kind]
+    queries = [parse_query("(rp LiveIn (a Toronto))", toy_graph),
+               parse_query("(p BornIn (p LiveIn (a Hinton)))", toy_graph)]
+    targets = [[0, 3], [1]]
+    anchor, rel, target = np.array([2, 0, 5]), np.array([1, 0, 2]), np.array([4, 4, 0])
+    direction = np.full(3, "forward")
+    hop_queries = [Projection(r, "forward", Anchor(a)) for a, r in zip(anchor, rel)]
+    results = []
+    for args in ((queries, targets, None, 0, (anchor, rel, direction, target)),
+                 (queries + hop_queries, targets + [[t] for t in target])):
+        m.store.zero_grad()
+        logp = m.log_probabilities(*args)
+        ad.reduce_sum(logp * np.arange(1.0, 7.0)).backward()
+        results.append((logp.data, {n: p.grad for n, p in m.store.params.items()
+                                    if p.grad is not None}))
+    assert np.array_equal(results[0][0], results[1][0])
+    assert results[0][1].keys() == results[1][1].keys()
+    for name, grad in results[1][1].items():
+        assert np.array_equal(results[0][1][name], grad), name
 
 
 def test_probability_errors(models):

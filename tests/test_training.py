@@ -11,10 +11,11 @@ from privkg.benchmark import (BenchmarkQuery, sample_private_edges,
 from privkg.encoders import make_encoder
 from privkg.evaluation import evaluate_model
 from privkg.queries import (BACKWARD, FORWARD, QUERY_TYPES, Anchor, Intersection,
-                            Projection, Union, classify_type, parse_query)
+                            Projection, Union, classify_type, parse_query, shape, to_dnf)
 from privkg.symbolic import TaggedAnswerSet
 from privkg.training import (BOTH, REVERSE_ONLY, NoiseConfig, TrainConfig,
                              TrainError, noisy_scores_all, total_loss, train)
+from . import _ops as ops
 
 
 def _uniform_model(graph, dim=4, seed=0):
@@ -222,6 +223,79 @@ def test_total_loss_scores_once_per_embedding_width(mixed_batch, kind, monkeypat
     # Q2P's particle count grows at each intersection: 2 (projections), 4 (2i, pi,
     # ip), 6 (3i); the vector and box models have one width
     assert sorted(w[0] for w in widths) == ([2, 4, 6] if kind == "q2p" else [5])
+
+
+def query_tree_total_loss(m, batch, private_triples, beta, direction, rng, candidate_sample):
+    """``total_loss`` as composed before the privacy terms became index arrays:
+    one-hop query trees after the batch's queries, every query's DNF grouped
+    by shape, then segment max, mask, log-softmax, reshape and rows."""
+    queries, targets = [q for q, _ in batch], [sorted(a) for _, a in batch]
+    n_public = sum(map(len, targets))
+    for h, r, t in sorted(private_triples):
+        queries.append(Projection(r, BACKWARD, Anchor(t)))
+        targets.append([h])
+        if direction == BOTH:
+            queries.append(Projection(r, FORWARD, Anchor(h)))
+            targets.append([t])
+    nv = m.graph.num_vertices()
+    dnfs = [to_dnf(q) for q in queries]
+    flat = [d for ds in dnfs for d in ds]
+    groups, widths = {}, {}
+    for i, node in enumerate(flat):
+        groups.setdefault(shape(node), []).append(i)
+    for idx in groups.values():
+        emb = m._encode_group([flat[i] for i in idx])
+        order, embs = widths.setdefault(tuple(t.shape[1:] for t in emb), ([], []))
+        order.extend(idx)
+        embs.append(emb)
+    parts = [m.scores(embs[0] if len(embs) == 1 else
+                      type(embs[0])(*(ad.concat(f, axis=0) for f in zip(*embs))))
+             for _, embs in widths.values()]
+    scores = ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
+    index = np.argsort(np.concatenate([order for order, _ in widths.values()]))
+    scores = ops.segment_max(scores, index, [len(ds) for ds in dnfs])
+    if candidate_sample > 0:
+        mask = np.zeros((len(queries), nv))
+        for i, t in enumerate(targets[:len(batch)]):
+            mask[i] = -np.inf
+            mask[i, t] = 0.0
+            mask[i, rng.sample(range(nv), min(candidate_sample, nv))] = 0.0
+        scores = scores + ad.Tensor(mask)
+    owner = np.repeat(np.arange(len(queries)), [len(t) for t in targets])
+    logp = ad.rows(ad.reshape(ops.log_softmax(scores, axis=1), (-1,)),
+                   owner * nv + np.concatenate(targets).astype(np.intp))
+    n_private = logp.shape[0] - n_public
+    lu = ad.multiply(-1.0 / n_public, ad.reduce_sum(ad.rows(logp, np.arange(n_public))))
+    lp = ad.multiply(1.0 / max(n_private, 1),
+                     ad.reduce_sum(ad.rows(logp, np.arange(n_public, logp.shape[0]))))
+    return lu + ad.multiply(beta, lp), lu, lp
+
+
+@pytest.mark.parametrize("kind", ["gqe", "q2b", "q2p"])
+@pytest.mark.parametrize("direction", [REVERSE_ONLY, BOTH])
+@pytest.mark.parametrize("candidate_sample", [0, 5])
+@pytest.mark.parametrize("drop", [(), ("1p",), ("1p", "2u", "other")])
+def test_privacy_index_arrays_match_query_trees_bit_for_bit(mixed_batch, kind, direction,
+                                                            candidate_sample, drop):
+    # without 1p the batch's one-hop disjuncts come from unions alone; without
+    # unions too it has none, and the privacy terms are the last shape group
+    g, batch, private = mixed_batch
+    batch = [(q, a) for q, a in batch if classify_type(q) not in drop]
+    one_hop = any(shape(d) == ("p", "a") for q, _ in batch for d in to_dnf(q))
+    assert one_hop == (len(drop) < 3)
+    m = make_encoder(kind, g, dim=5, seed=2, n_particles=2)
+    results = []
+    for fn in (total_loss, query_tree_total_loss):
+        m.store.zero_grad()
+        losses = fn(m, batch, private, 0.5, direction, random.Random(1), candidate_sample)
+        losses[0].backward()
+        results.append(([l.item() for l in losses],
+                         {n: p.grad for n, p in m.store.params.items() if p.grad is not None}))
+    (got, got_grads), (want, want_grads) = results
+    assert got == want
+    assert got_grads.keys() == want_grads.keys()
+    for name in want_grads:
+        assert np.array_equal(got_grads[name], want_grads[name]), name
 
 
 def test_config_validation():
