@@ -67,8 +67,9 @@ class Tensor:
                 todo.extend((p, False) for p in reversed(node.parents))
         self.grad = np.ones((), dtype=np.float64)
         for node in reversed(topo):
-            if node._backward is not None and node.requires_grad:
-                node._backward(node.grad)
+            if node._backward is None or not node.requires_grad:
+                continue
+            node._backward(node.grad)
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
@@ -176,8 +177,12 @@ def concat(parts, axis=0) -> Tensor:
     sizes = [p.data.shape[axis] for p in parts]
 
     def back(g):
-        for p, piece in zip(parts, np.split(g, np.cumsum(sizes)[:-1], axis=axis)):
-            p._accumulate(piece)
+        offset = 0
+        for p, size in zip(parts, sizes):
+            index = [slice(None)] * g.ndim
+            index[axis] = slice(offset, offset + size)
+            p._accumulate(g[tuple(index)])
+            offset += size
 
     out._backward = back
     return out
@@ -246,7 +251,8 @@ def reduce_mean(a, axis=None) -> Tensor:
 
 def _reduce_extreme(a, axis, argfn, redfn):
     a = tensor(a)
-    out = Tensor(redfn(a.data, axis=axis), (a,))
+    out_data = redfn(a.data, axis=axis)
+    out = Tensor(out_data, (a,))
 
     def back(g):
         # subgradient: route everything to the first extremal position
@@ -566,7 +572,8 @@ class ParameterStore:
 
 class SGD:
     def __init__(self, store: ParameterStore, lr: float):
-        self.store, self.lr = store, lr
+        self.store = store
+        self.lr = lr
 
     def step(self) -> None:
         for name, p in self.store.params.items():
@@ -580,7 +587,8 @@ class SGD:
 
 class Adam:
     def __init__(self, store: ParameterStore, lr: float):
-        self.store, self.lr = store, lr
+        self.store = store
+        self.lr = lr
         self.m = {n: np.zeros_like(p.data) for n, p in store.params.items()}
         self.v = {n: np.zeros_like(p.data) for n, p in store.params.items()}
         self.t = 0

@@ -61,7 +61,9 @@ class Encoder:
         if dim < 1 or n_particles < 1:
             raise EncoderError("dim and n_particles must be >= 1, got %r and %r"
                                % (dim, n_particles))
-        self.graph, self.dim, self.n_particles = graph, dim, n_particles
+        self.graph = graph
+        self.dim = dim
+        self.n_particles = n_particles
         self.store = ParameterStore()
         rng = np.random.default_rng(seed)  # every encoder draws its entity table first
         self.ent = self.store.add("ent", _uniform(rng, (graph.num_vertices(), dim), 1 / np.sqrt(dim)))

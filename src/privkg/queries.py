@@ -13,7 +13,6 @@ Negation is not part of the fragment and is rejected at parse time.
 from __future__ import annotations
 
 import functools
-import itertools
 import re
 from dataclasses import dataclass
 from typing import Union as TyUnion
@@ -26,9 +25,17 @@ class QueryError(Exception):
 
 
 class _Node:
-    """Disjuncts and shape, kept from the first read (nodes are immutable)."""
-    disjuncts = functools.cached_property(lambda self: to_dnf(self))
+    """Disjuncts and shape, kept from the first read (nodes are immutable). A
+    union-free node is its own one disjunct and keeps ``()`` for it: a kept
+    ``(self,)`` would be a cycle, which only the cyclic collector frees."""
     signature = functools.cached_property(lambda self: shape(self))
+
+    @property
+    def disjuncts(self) -> tuple:
+        if "_dnf" not in self.__dict__:
+            dnf = to_dnf(self)
+            self.__dict__["_dnf"] = () if dnf[0] is self else dnf
+        return self.__dict__["_dnf"] or (self,)
 
 
 @dataclass(frozen=True)
@@ -152,12 +159,18 @@ def _dnf(q: QueryNode) -> list:
             return [q]
         return [Projection(q.rel, q.direction, d) for d in disjuncts]
     if isinstance(q, Union):
-        return [d for c in q.children for d in _dnf(c)]
+        out = []
+        for c in q.children:
+            out.extend(_dnf(c))
+        return out
     if isinstance(q, Intersection):
         per_child = [_dnf(c) for c in q.children]
         if all(len(ds) == 1 and ds[0] is c for ds, c in zip(per_child, q.children)):
             return [q]
-        return [Intersection(combo) for combo in itertools.product(*per_child)]
+        combos = [()]
+        for child_disjuncts in per_child:
+            combos = [prefix + (d,) for prefix in combos for d in child_disjuncts]
+        return [Intersection(combo) for combo in combos]
     raise QueryError("not a query node: %r" % (q,))
 
 

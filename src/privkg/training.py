@@ -125,8 +125,10 @@ def train(model: Encoder, queries: list[BenchmarkQuery], private_triples,
         steps = 0
         for start in range(0, len(order), config.batch_size):
             batch = [(bq.query, bq.train_answers) for bq in order[start:start + config.batch_size]]
-            sample = (rng.sample(private_pool, min(config.private_batch, len(private_pool)))
-                      if config.beta > 0 and private_pool else [])
+            if config.beta > 0 and private_pool:
+                sample = rng.sample(private_pool, min(config.private_batch, len(private_pool)))
+            else:
+                sample = []
             loss, lu, lp = total_loss(model, batch, sample, config.beta,
                                       config.privacy_direction, rng, config.candidate_sample)
             if not np.isfinite(loss.data):

@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -456,6 +458,23 @@ def test_hops_equal_the_same_one_hop_queries(models, toy_graph, kind):
     assert results[0][1].keys() == results[1][1].keys()
     for name, grad in results[1][1].items():
         assert np.array_equal(results[0][1][name], grad), name
+
+
+def test_encoded_union_free_query_is_freed_by_reference_counting(models, toy_graph):
+    # a union-free node is its own one disjunct; keeping (self,) on the node would
+    # be a cycle that only the cyclic collector frees
+    m = models["gqe"]
+    gc.disable()
+    try:
+        q = parse_query("(i (p LiveIn (a Hinton)) (rp LiveIn (a Toronto)))", toy_graph)
+        m.encode(q)
+        ad.reduce_sum(m.log_probabilities([q], [[0]])).backward()
+        assert q.disjuncts == (q,)
+        probe = weakref.ref(q)
+        del q
+        assert probe() is None
+    finally:
+        gc.enable()
 
 
 def test_probability_errors(models):

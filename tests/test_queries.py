@@ -156,6 +156,20 @@ def test_dnf_matches_rebuilding_reference(seed):
         assert to_dnf(q) == tuple(_rebuilding_dnf(q))
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_disjuncts_and_signature_are_kept_and_leave_eq_hash_repr_alone(seed):
+    g = random_graph(seed, n_vertices=25, n_triples=80)
+    rng = random.Random(3000 + seed)
+    for _ in range(10):
+        q = random_query(g, rng, max_depth=4)
+        before = (hash(q), repr(q))
+        assert q.disjuncts == to_dnf(q) and q.signature == shape(q)
+        if q.disjuncts != (q,):
+            assert q.disjuncts is q.disjuncts  # rebuilt disjuncts are built once
+        fresh = parse_query(serialize(q, g), g)  # equal, nothing read from it yet
+        assert (hash(q), repr(q)) == before == (hash(fresh), repr(fresh)) and q == fresh
+
+
 def test_dnf_distributes_projection_over_union(toy_graph):
     q = parse_query("(p LiveIn (u (a Hinton) (a LeCun)))", toy_graph)
     got = [serialize(d, toy_graph) for d in to_dnf(q)]
