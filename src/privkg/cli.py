@@ -126,13 +126,13 @@ def _read_benchmark_dir(path, g):
 
 
 def cmd_train(args):
+    config = TrainConfig(beta=args.beta, lr=args.lr, epochs=args.epochs,
+                         batch_size=args.batch_size, seed=args.seed,
+                         privacy_direction=args.privacy_direction)
     g = _load_graph(args)
     queries = _read_benchmark_dir(args.benchmark, g)
     model = make_encoder(args.model, g, dim=args.dim, seed=args.seed,
                          n_particles=args.particles)
-    config = TrainConfig(beta=args.beta, lr=args.lr, epochs=args.epochs,
-                         batch_size=args.batch_size, seed=args.seed,
-                         privacy_direction=args.privacy_direction)
     trace = train(model, queries, g.private, config,
                   progress=lambda e, lu, lp, l: print(
                       "epoch %d  L_u=%.4f  L_p=%.4f  L=%.4f" % (e, lu, lp, l), file=sys.stderr))

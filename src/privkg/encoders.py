@@ -206,7 +206,17 @@ def _vocabulary_digests(graph: KnowledgeGraph) -> dict:
 
 def load_encoder(path, graph: KnowledgeGraph) -> "Encoder":
     with open(path, encoding="utf-8") as f:
-        manifest = json.loads(ad.read_checkpoint_header(f))
+        header = ad.read_checkpoint_header(f)
+    try:
+        manifest = json.loads(header)
+    except json.JSONDecodeError as exc:
+        raise EncoderError("%s: checkpoint header is not JSON (%s)" % (path, exc)) from None
+    if not isinstance(manifest, dict):
+        raise EncoderError("%s: checkpoint header is not a JSON object" % path)
+    for key, want in (("kind", str), ("dim", int), ("n_particles", int)):
+        if type(manifest.get(key)) is not want:
+            raise EncoderError("%s: checkpoint header field %r is missing or not a %s"
+                               % (path, key, want.__name__))
     for key, want in _vocabulary_digests(graph).items():
         if manifest.get(key) != want:
             raise EncoderError("checkpoint vocabulary does not match the graph: %s differs"

@@ -41,10 +41,10 @@ class TrainConfig:
     private_batch: int = 32  # private triples resampled per step
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise TrainError("beta must be non-negative")
-        if not self.lr > 0:
-            raise TrainError("lr must be positive, got %r" % self.lr)
+        if not 0 <= self.beta < float("inf"):
+            raise TrainError("beta must be finite and non-negative, got %r" % self.beta)
+        if not 0 < self.lr < float("inf"):
+            raise TrainError("lr must be finite and positive, got %r" % self.lr)
         if self.epochs < 1 or self.batch_size < 1:
             raise TrainError("epochs and batch_size must be >= 1")
         if self.private_batch < 0 or self.candidate_sample < 0:

@@ -1,0 +1,89 @@
+"""``scripts/bench.py``'s runner: the order of the children, the ``--src``
+flag and the merge into ``BENCH_<topic>.json``. The children are faked,
+except for one that fails at once."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+ENTRY_KEYS = {
+    "graph": {"vertices", "edges", "median_s", "median_total_s", "gc_collections",
+              "peak_rss_mb", "malloc_pinned", "runs"},
+    "train": {"vertices", "edges", "steps", "step_ms", "tape_nodes_per_step",
+              "score_calls_per_step", "peak_rss_mb", "malloc_pinned", "runs"},
+}
+
+
+@pytest.fixture
+def calls(tmp_path, monkeypatch):
+    """The (case, label) of every child run, in order; the children are fakes
+    carrying the fields of both topics, and the file goes to ``tmp_path``."""
+    seen = []
+
+    def run(topic, case, label, src):
+        seen.append((case, label))
+        return {"vertices": 3, "edges": 5, "peak_rss_mb": 1.0 + len(seen), "malloc_pinned": True,
+                "seconds": {s: 0.1 for s in bench.STAGES}, "gc_collections": len(seen),
+                "step_s": [0.001, 0.002 * len(seen)], "tape_nodes_per_step": 9,
+                "score_calls_per_step": 1}
+
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench, "run", run)
+    return seen
+
+
+def test_rounds_alternate_which_label_runs_first(calls):
+    assert bench.main(["train", "--src", "parent=%s" % ROOT, "--src", "change=%s" % ROOT]) == 0
+    assert calls == [(kind, label) for kind in bench.KINDS
+                     for label in ("parent", "change", "change", "parent", "parent", "change")]
+
+
+@pytest.mark.parametrize("topic", sorted(bench.TOPICS))
+def test_merge_replaces_only_the_measured_labels(tmp_path, calls, topic):
+    out = tmp_path / ("BENCH_%s.json" % topic)
+    out.write_text(json.dumps({"labels": {"parent": {"stale": 1}, "old": {"kept": 2}},
+                               "nproc": 0}), encoding="utf-8")
+    assert bench.main([topic, "--src", "parent=%s" % ROOT, "--src", "change=%s" % ROOT]) == 0
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert result["script"] == "scripts/bench.py" and result["nproc"] >= 1
+    assert result["labels"]["old"] == {"kept": 2}
+    cases = bench.TOPICS[topic].cases
+    for label in ("parent", "change"):
+        assert sorted(result["labels"][label]) == sorted(cases)
+        for entry in result["labels"][label].values():
+            assert set(entry) == ENTRY_KEYS[topic]
+            assert len(entry["runs"]) == bench.ROUNDS
+    assert len(calls) == 2 * bench.ROUNDS * len(cases)
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--src", str(ROOT)],
+    ["train", "--src", "=%s" % ROOT],
+    ["train", "--src", "parent="],
+    ["graph", "--src", "a=%s" % ROOT, "--src", "b=%s" % ROOT, "--src", "a=%s" % ROOT],
+    ["graph"]], ids=["no-equals", "no-label", "no-dir", "repeated-label", "no-src"])
+def test_bad_src_exits_2_before_any_child(tmp_path, calls, argv):
+    with pytest.raises(SystemExit) as info:
+        bench.main(argv)
+    assert info.value.code == 2
+    assert calls == [] and list(tmp_path.iterdir()) == []
+
+
+def test_failed_child_names_label_and_case_and_shows_its_stderr(tmp_path, monkeypatch):
+    broken = tmp_path / "broken"
+    (broken / "src" / "privkg").mkdir(parents=True)
+    (broken / "src" / "privkg" / "__init__.py").write_text("raise RuntimeError('no import')\n")
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    with pytest.raises(SystemExit) as info:
+        bench.main(["train", "--src", "bad=%s" % broken])
+    message = str(info.value.code)
+    assert "RuntimeError: no import" in message
+    assert "label 'bad', case 'gqe'" in message
+    assert not (tmp_path / "BENCH_train.json").exists()

@@ -227,6 +227,22 @@ def test_eval_rejects_a_bad_sigma_before_reading_files(tmp_path, capsys, sigma):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--beta", "nan", "beta must be finite and non-negative"),
+    ("--beta", "inf", "beta must be finite and non-negative"),
+    ("--lr", "inf", "lr must be finite and positive")])
+def test_train_rejects_a_bad_beta_or_lr_before_reading_files(tmp_path, capsys, flag, value,
+                                                              message):
+    # every input is missing, so only a check made before reading can name the value
+    rc = main(["train", "--graph", str(tmp_path / "g.tsv"), "--schema", str(tmp_path / "s.tsv"),
+               "--private", str(tmp_path / "p.tsv"), "--benchmark", str(tmp_path),
+               "--model", "gqe", flag, value, "--seed", "0", "--out", str(tmp_path / "o")])
+    assert rc == 1
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: " + message)
+    assert not (tmp_path / "o").exists()
+
+
 def _privatize(tmp_path):
     """The synthetic graph's files and a private-edge file beside them."""
     graph, schema = _write_synthetic(tmp_path)

@@ -586,6 +586,30 @@ def test_checkpoint_header_keeps_only_what_load_reads(tmp_path, toy_graph):
         assert np.array_equal(p.data, back.store[name].data)
 
 
+@pytest.mark.parametrize("edit,field", [
+    (lambda h: json.dumps({k: v for k, v in h.items() if k != "dim"}), "'dim'"),
+    (lambda h: json.dumps(dict(h, dim="4")), "'dim'"),
+    (lambda h: json.dumps(dict(h, dim=True)), "'dim'"),
+    (lambda h: json.dumps(dict(h, n_particles=None)), "'n_particles'"),
+    (lambda h: json.dumps(dict(h, kind=["gqe"])), "'kind'"),
+    (lambda h: "[]", "not a JSON object"),
+    (lambda h: "null", "not a JSON object"),
+    (lambda h: json.dumps(h)[:-5], "not JSON")],
+    ids=["no-dim", "string-dim", "bool-dim", "null-particles", "list-kind", "list", "null",
+         "truncated"])
+def test_load_encoder_names_the_file_and_field_of_a_bad_header(tmp_path, toy_graph, edit, field):
+    path = tmp_path / "m.ckpt"
+    make_encoder("gqe", toy_graph, dim=4, seed=0).save(path)
+    with open(path, encoding="utf-8") as f:
+        header = json.loads(ad.read_checkpoint_header(f))
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("%s %s\n" % (ad.CHECKPOINT_TAG, edit(header)) + "".join(lines[1:]),
+                    encoding="utf-8")
+    with pytest.raises(EncoderError) as info:
+        load_encoder(path, toy_graph)
+    assert str(path) in str(info.value) and field in str(info.value)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_make_encoder_rejects_bad_sizes_before_drawing(kind, toy_graph, monkeypatch):
     def no_draw(self, rng):

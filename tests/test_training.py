@@ -305,7 +305,8 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(TrainError):
         TrainConfig(privacy_direction="sideways")
-    for bad in ({"lr": -0.02}, {"lr": 0.0}, {"lr": math.nan}, {"batch_size": 0},
+    for bad in ({"lr": -0.02}, {"lr": 0.0}, {"lr": math.nan}, {"lr": math.inf},
+                {"beta": math.nan}, {"beta": math.inf}, {"batch_size": 0},
                 {"private_batch": -1}, {"candidate_sample": -3}):
         with pytest.raises(TrainError, match=next(iter(bad))):
             TrainConfig(**bad)
