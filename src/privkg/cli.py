@@ -163,21 +163,25 @@ def cmd_audit(args):
         print("%s\t%s" % (g.vertex_name(v), label))
 
 
-def _read_report(path, what) -> list:
-    """The rows of an eval report; the first, its header, names an MRR column."""
-    fields = read_tsv(path, 7, what)
+def _read_report(path, what) -> tuple[list, int]:
+    """An eval report's rows, header first, and its MRR column, a number in every row."""
+    fields, linenos = read_tsv(path, 7, what, linenos=True)
     rows = [fields[i:i + 7] for i in range(0, len(fields), 7)]
     if not rows or "MRR" not in rows[0]:
         raise ValueError("%s: no header line with an MRR column" % path)
-    return rows
+    mrr = rows[0].index("MRR")
+    for lineno, row in zip(linenos[1:], rows[1:]):
+        try:
+            float(row[mrr])
+        except ValueError:
+            raise ValueError("%s line %d: MRR %r is not a number" % (path, lineno, row[mrr])) from None
+    return rows, mrr
 
 
 def cmd_report(args):
-    rows = _read_report(args.eval_report, "report")
+    rows, mrr = _read_report(args.eval_report, "report")
     if args.baseline:
-        mrr = rows[0].index("MRR")
-        base_rows = _read_report(args.baseline, "baseline")
-        base_mrr = base_rows[0].index("MRR")
+        base_rows, base_mrr = _read_report(args.baseline, "baseline")
         base = {tuple(r[:2]): float(r[base_mrr]) for r in base_rows[1:]}
         rows[0].append("MRR_vs_baseline")
         for r in rows[1:]:

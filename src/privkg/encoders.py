@@ -205,25 +205,28 @@ def _vocabulary_digests(graph: KnowledgeGraph) -> dict:
 
 
 def load_encoder(path, graph: KnowledgeGraph) -> "Encoder":
-    with open(path, encoding="utf-8") as f:
-        header = ad.read_checkpoint_header(f)
     try:
-        manifest = json.loads(header)
-    except json.JSONDecodeError as exc:
-        raise EncoderError("%s: checkpoint header is not JSON (%s)" % (path, exc)) from None
-    if not isinstance(manifest, dict):
-        raise EncoderError("%s: checkpoint header is not a JSON object" % path)
-    for key, want in (("kind", str), ("dim", int), ("n_particles", int)):
-        if type(manifest.get(key)) is not want:
-            raise EncoderError("%s: checkpoint header field %r is missing or not a %s"
-                               % (path, key, want.__name__))
-    for key, want in _vocabulary_digests(graph).items():
-        if manifest.get(key) != want:
-            raise EncoderError("checkpoint vocabulary does not match the graph: %s differs"
-                               % key)
-    model = make_encoder(manifest["kind"], graph, dim=manifest["dim"],
-                         n_particles=manifest["n_particles"])
-    model.store.load(path)
+        with open(path, encoding="utf-8") as f:
+            header = ad.read_checkpoint_header(f)
+        try:
+            manifest = json.loads(header)
+        except json.JSONDecodeError as exc:
+            raise EncoderError("checkpoint header is not JSON (%s)" % exc) from None
+        if not isinstance(manifest, dict):
+            raise EncoderError("checkpoint header is not a JSON object")
+        for key, want in (("kind", str), ("dim", int), ("n_particles", int)):
+            if type(manifest.get(key)) is not want:
+                raise EncoderError("checkpoint header field %r is missing or not a %s"
+                                   % (key, want.__name__))
+        for key, want in _vocabulary_digests(graph).items():
+            if manifest.get(key) != want:
+                raise EncoderError("checkpoint vocabulary does not match the graph: %s differs"
+                                   % key)
+        model = make_encoder(manifest["kind"], graph, dim=manifest["dim"],
+                             n_particles=manifest["n_particles"])
+        model.store.load(path)
+    except (EncoderError, ad.AutodiffError) as exc:  # every refusal names the file
+        raise EncoderError("%s: %s" % (path, exc)) from None
     return model
 
 

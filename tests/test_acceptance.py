@@ -20,10 +20,10 @@ from privkg.evaluation import calibrate_noise_sigma, evaluate_model, rank
 from privkg.graph import Triple, from_named_triples, write_triples
 from privkg.queries import (QUERY_TYPES, Anchor, Intersection, Projection,
                             Union, parse_query)
-from privkg.symbolic import (RELAXED, STRICT, brute_force_oracle, evaluate,
-                             evaluate_tagged)
+from privkg.symbolic import RELAXED, STRICT, evaluate, evaluate_tagged
 from privkg.synthetic import make_synthetic_kg
 from privkg.training import BOTH, TrainConfig, total_loss, train
+from ._oracle import brute_force_oracle
 from .conftest import TOY_SCHEMA, TOY_TRIPLES, random_graph
 
 BETAS = (0.0, 0.01, 0.05, 0.1, 0.5, 1.0)

@@ -586,25 +586,34 @@ def test_checkpoint_header_keeps_only_what_load_reads(tmp_path, toy_graph):
         assert np.array_equal(p.data, back.store[name].data)
 
 
+def _header(edit):
+    """A checkpoint edit that rewrites the header line only."""
+    return lambda header, body: "%s %s\n" % (ad.CHECKPOINT_TAG, edit(header)) + "".join(body)
+
+
 @pytest.mark.parametrize("edit,field", [
-    (lambda h: json.dumps({k: v for k, v in h.items() if k != "dim"}), "'dim'"),
-    (lambda h: json.dumps(dict(h, dim="4")), "'dim'"),
-    (lambda h: json.dumps(dict(h, dim=True)), "'dim'"),
-    (lambda h: json.dumps(dict(h, n_particles=None)), "'n_particles'"),
-    (lambda h: json.dumps(dict(h, kind=["gqe"])), "'kind'"),
-    (lambda h: "[]", "not a JSON object"),
-    (lambda h: "null", "not a JSON object"),
-    (lambda h: json.dumps(h)[:-5], "not JSON")],
+    (_header(lambda h: json.dumps({k: v for k, v in h.items() if k != "dim"})), "'dim'"),
+    (_header(lambda h: json.dumps(dict(h, dim="4"))), "'dim'"),
+    (_header(lambda h: json.dumps(dict(h, dim=True))), "'dim'"),
+    (_header(lambda h: json.dumps(dict(h, n_particles=None))), "'n_particles'"),
+    (_header(lambda h: json.dumps(dict(h, kind=["gqe"]))), "'kind'"),
+    (_header(lambda h: "[]"), "not a JSON object"),
+    (_header(lambda h: "null"), "not a JSON object"),
+    (_header(lambda h: json.dumps(h)[:-5]), "not JSON"),
+    (lambda h, body: "", "unrecognized checkpoint header"),
+    (_header(lambda h: json.dumps(dict(h, vertex_digest="0" * 64))), "vertex_digest differs"),
+    (lambda h, body: _header(json.dumps)(h, body[:-1]), "lacks parameter"),
+    (_header(lambda h: json.dumps(dict(h, kind="xyz"))), "unknown encoder kind 'xyz'"),
+    (_header(lambda h: json.dumps(dict(h, dim=0))), "dim and n_particles")],
     ids=["no-dim", "string-dim", "bool-dim", "null-particles", "list-kind", "list", "null",
-         "truncated"])
+         "truncated", "empty", "other-vocabulary", "cut-parameter", "unknown-kind", "zero-dim"])
 def test_load_encoder_names_the_file_and_field_of_a_bad_header(tmp_path, toy_graph, edit, field):
     path = tmp_path / "m.ckpt"
     make_encoder("gqe", toy_graph, dim=4, seed=0).save(path)
     with open(path, encoding="utf-8") as f:
         header = json.loads(ad.read_checkpoint_header(f))
     lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-    path.write_text("%s %s\n" % (ad.CHECKPOINT_TAG, edit(header)) + "".join(lines[1:]),
-                    encoding="utf-8")
+    path.write_text(edit(header, lines[1:]), encoding="utf-8")
     with pytest.raises(EncoderError) as info:
         load_encoder(path, toy_graph)
     assert str(path) in str(info.value) and field in str(info.value)
@@ -626,8 +635,9 @@ def test_checkpoint_vocabulary_mismatch(tmp_path, toy_graph):
     path = tmp_path / "m.ckpt"
     m.save(path)
     other = random_graph(0, n_vertices=10, n_triples=20)
-    with pytest.raises(EncoderError, match="vocabulary"):
+    with pytest.raises(EncoderError, match="vocabulary") as info:
         load_encoder(path, other)
+    assert str(path) in str(info.value)
 
 
 def test_checkpoint_vocabulary_names_mismatch(tmp_path):

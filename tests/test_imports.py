@@ -6,15 +6,17 @@ allowlist with a reason."""
 
 import ast
 import pathlib
+import typing
 
 import pytest
+
+from privkg.queries import QueryNode
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "privkg"
 
 # public names the program itself does not read, each kept for a stated reason
 UNREAD_PUBLIC_ALLOWED = {
-    "brute_force_oracle": "the independent oracle of acceptance criterion 1",
     "calibrate_noise_sigma": "the noise calibration of acceptance criterion 6",
     "validation_subset": "the validation answers, for early stopping (ROADMAP item 4)",
 }
@@ -118,6 +120,41 @@ def test_every_public_name_has_a_reader():
     assert [u for u in unread if u.rsplit(": ", 1)[1] not in UNREAD_PUBLIC_ALLOWED] == []
     # an allowlisted name that gains a reader leaves the list
     assert sorted(u.rsplit(": ", 1)[1] for u in unread) == sorted(UNREAD_PUBLIC_ALLOWED)
+
+
+def test_oracle_is_independent_of_the_walk():
+    # criterion 1 compares the walk with the oracle, so the oracle shares none
+    # of the walk's code and reads the graph only as a triple set and a size
+    tree = ast.parse((ROOT / "tests" / "_oracle.py").read_text(encoding="utf-8"))
+    nodes = {cls.__name__ for cls in typing.get_args(QueryNode)} | {"QueryNode"}
+    allowed = ({("privkg.graph", "FORWARD"), ("privkg.symbolic", "EvalError")}
+               | {("privkg.queries", name) for name in nodes})
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.Import)]
+    imported = {("." * n.level + (n.module or ""), a.name)
+                for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert imported <= allowed
+    graph_loads = [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "g"
+                   and isinstance(n.ctx, ast.Load)]
+    graph_reads = [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                   and isinstance(n.value, ast.Name) and n.value.id == "g"]
+    assert graph_reads and set(graph_reads) == {"triples", "num_vertices"}
+    assert len(graph_loads) == len(graph_reads)  # g is passed to nothing
+    names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))}
+    assert names.isdisjoint({"neighbors", "_index", "evaluate", "_evaluate_tagged", "_image"})
+
+
+def test_the_program_imports_nothing_from_tests():
+    importers = []
+    for path in sorted(p for d in ("src/privkg", "perfbench", "scripts")
+                       for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = [a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names]
+        modules += [n.module or "" for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        modules += [a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names]
+        if "tests" in {m.split(".")[0] for m in modules}:
+            importers.append(str(path.relative_to(ROOT)))
+    assert importers == []
 
 
 def test_guard_flags_an_unused_import():

@@ -5,8 +5,8 @@ import pytest
 
 from privkg.graph import FORWARD, REL, ATTR, KnowledgeGraph, Triple, from_named_triples
 from privkg.queries import Anchor, Intersection, Projection, parse_query
-from privkg.symbolic import (EvalError, brute_force_oracle, evaluate,
-                             evaluate_tagged)
+from privkg.symbolic import EvalError, evaluate, evaluate_tagged
+from ._oracle import brute_force_oracle
 from .conftest import mark_random_private, random_graph, random_query
 
 

@@ -298,6 +298,41 @@ def test_privacy_index_arrays_match_query_trees_bit_for_bit(mixed_batch, kind, d
         assert np.array_equal(got_grads[name], want_grads[name]), name
 
 
+# (L, L_u, L_p) after each of five Adam steps of total_loss on mixed_batch (dim 8,
+# model seed 2, two particles, lr 0.02, beta 0.5, both directions), as the Q2B and
+# Q2P code computed them when this pin was set. rtol 1e-9 lets BLAS kernels differ
+# in the last bits (a forced OpenBLAS Haswell kernel moves Q2P's first L and L_u
+# by 4.4e-16); any change to what a step computes moves them far more.
+PINNED_STEP_LOSSES = {
+    "q2b": [(1.835778458349421, 3.6798295555316813, -3.6881021943645207),
+            (1.5912407685205794, 3.515145221275702, -3.8478089055102456),
+            (1.3595411101692, 3.368240114591094, -4.017398008843788),
+            (1.1442790195043226, 3.2361777399242984, -4.183797440839951),
+            (0.9497225281775057, 3.123002885532536, -4.34656071471006)],
+    "q2p": [(1.8894235575632345, 3.713520310583061, -3.648193506039653),
+            (1.7651440514345094, 3.610342451954278, -3.6903968010395376),
+            (1.6473207141874222, 3.5139172559345817, -3.733193083494319),
+            (1.5417197023080011, 3.429765659575906, -3.77609191453581),
+            (1.4504044525774116, 3.3615346560586286, -3.822260406962434)],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_STEP_LOSSES))
+def test_adam_step_losses_are_pinned(mixed_batch, kind):
+    g, batch, private = mixed_batch
+    m = make_encoder(kind, g, dim=8, seed=2, n_particles=2)
+    optimizer = ad.Adam(m.store, 0.02)
+    got = []
+    for _ in PINNED_STEP_LOSSES[kind]:
+        loss, lu, lp = total_loss(m, batch, private, 0.5, BOTH)
+        m.store.zero_grad()
+        loss.backward()
+        optimizer.step()
+        m.post_step()
+        got.append((loss.item(), lu.item(), lp.item()))
+    np.testing.assert_allclose(got, PINNED_STEP_LOSSES[kind], rtol=1e-9, atol=0)
+
+
 def test_config_validation():
     with pytest.raises(TrainError):
         TrainConfig(beta=-0.1)
