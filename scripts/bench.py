@@ -4,13 +4,19 @@
     python3 scripts/bench.py train --src parent=../privkg-parent --src change=.
 
 Each ``--src LABEL=DIR`` names a checkout whose ``DIR/src`` is measured under
-LABEL. Every case of the topic runs three rounds; a round runs one fresh child
+LABEL. Every case of the topic runs ten rounds; a round runs one fresh child
 process per label, and the label that goes first rotates from round to round,
-so a burst of host load lands on every label rather than on one. Each child
-imports ``privkg`` from its checkout and, before that, pins the BLAS pools to
-one thread and glibc malloc's mmap and trim thresholds with perfbench's own
-settings (``perfbench/run.py``), so that times do not depend on the run's
-allocation history; it reports whether the malloc pinning took
+so a burst of host load lands on every label rather than on one. Every label
+after the first ``--src`` gets a ``paired`` verdict per case against the first
+label: its per-round ``ratios`` (its child's time over the first label's child
+in the same round; graph: summed stage seconds, train: median step seconds),
+its ``wins`` (rounds with a ratio below 1; ties count for neither side) and
+``p``, the two-sided sign-test p-value of its wins against its losses.
+
+Each child imports ``privkg`` from its checkout and, before that, pins the
+BLAS pools to one thread and glibc malloc's mmap and trim thresholds with
+perfbench's own settings (``perfbench/run.py``), so that times do not depend
+on the run's allocation history; it reports whether the malloc pinning took
 (``malloc_pinned``) and its peak RSS. A child that fails stops the run with
 its label, case and standard error, and nothing is written. Otherwise the
 measured labels' entries replace their earlier ones in the file, the other
@@ -48,6 +54,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import math
 import os
 import random
 import resource
@@ -58,7 +65,7 @@ import tempfile
 import time
 from typing import Callable, NamedTuple
 
-ROUNDS = 3  # fresh child processes per case and label
+ROUNDS = 10  # fresh child processes per case and label
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # -- topic graph ----------------------------------------------------------------
@@ -201,15 +208,27 @@ class Topic(NamedTuple):
     cases: list
     child: Callable  # case -> one child's numbers
     summary: Callable  # one case's runs under one label -> the entry's topic fields
+    seconds: Callable  # one child's numbers -> the time its paired verdict compares
     described: dict  # what the file records of the cases
 
 
 TOPICS = {
-    "graph": Topic(list(RUNGS), graph_child, graph_summary, {"rungs": RUNGS}),
-    "train": Topic(list(KINDS), train_child, train_summary, {"encoders": list(KINDS)}),
+    "graph": Topic(list(RUNGS), graph_child, graph_summary,
+                   lambda r: sum(r["seconds"].values()), {"rungs": RUNGS}),
+    "train": Topic(list(KINDS), train_child, train_summary,
+                   lambda r: statistics.median(r["step_s"]), {"encoders": list(KINDS)}),
 }
 
 # -- the runner shared by every topic ---------------------------------------------
+
+
+def paired(first: list, runs: list, seconds: Callable) -> dict:
+    """``runs`` against the first label's ``first``, round by round: the ratios of
+    their times, the rounds ``runs`` wins, and the two-sided sign-test p-value."""
+    ratios = [seconds(r) / seconds(f) for r, f in zip(runs, first)]
+    wins, losses = sum(x < 1 for x in ratios), sum(x > 1 for x in ratios)
+    tail = sum(math.comb(wins + losses, k) for k in range(min(wins, losses) + 1))
+    return {"ratios": ratios, "wins": wins, "p": min(1.0, 2 * tail / 2 ** (wins + losses))}
 
 
 def child(topic: str, case: str) -> dict:
@@ -273,6 +292,8 @@ def main(argv=None) -> int:
                 runs[label].append(run(args.topic, case, label, src))
         for label, label_runs in runs.items():
             summarized = topic.summary(label_runs)
+            if label != labels[0]:
+                summarized["paired"] = paired(runs[labels[0]], label_runs, topic.seconds)
             print("%s %s: %s" % (label, case, json.dumps(summarized)), file=sys.stderr)
             entries[label][case] = {
                 "vertices": label_runs[0]["vertices"],

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -164,7 +165,7 @@ def cmd_audit(args):
 
 
 def _read_report(path, what) -> tuple[list, int]:
-    """An eval report's rows, header first, and its MRR column, a number in every row."""
+    """An eval report's rows, header first, and its MRR column, a finite number in every row."""
     fields, linenos = read_tsv(path, 7, what, linenos=True)
     rows = [fields[i:i + 7] for i in range(0, len(fields), 7)]
     if not rows or "MRR" not in rows[0]:
@@ -172,9 +173,11 @@ def _read_report(path, what) -> tuple[list, int]:
     mrr = rows[0].index("MRR")
     for lineno, row in zip(linenos[1:], rows[1:]):
         try:
-            float(row[mrr])
+            finite = math.isfinite(float(row[mrr]))
         except ValueError:
             raise ValueError("%s line %d: MRR %r is not a number" % (path, lineno, row[mrr])) from None
+        if not finite:
+            raise ValueError("%s line %d: MRR %r is not a finite number" % (path, lineno, row[mrr]))
     return rows, mrr
 
 

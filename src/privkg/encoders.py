@@ -90,11 +90,10 @@ class Encoder:
     def perturb(self, emb, rng, sigma: float):
         """Embedding with seeded isotropic Gaussian noise added (inference only).
 
-        Draws row by row, field by field: a batch gets its rows' one-at-a-time noise."""
-        draws = [[rng.normal(0.0, sigma, size=t.shape[1:]) for t in emb]
-                 for _ in range(emb[0].shape[0])]
-        return type(emb)(*(t + ad.Tensor(np.stack(noise))
-                           for t, noise in zip(emb, zip(*draws))))
+        One draw per batch, row by row and within a row field by field, so a batch
+        gets its rows' one-at-a-time noise; slice k of the draw goes to field k."""
+        noise = rng.normal(0.0, sigma, size=(emb[0].shape[0], len(emb)) + emb[0].shape[1:])
+        return type(emb)(*(t + ad.Tensor(noise[:, k]) for k, t in enumerate(emb)))
 
     # -- shared machinery -------------------------------------------------------
 

@@ -22,6 +22,8 @@ REL = "rel"
 ATTR = "attr"
 FORWARD = "forward"
 BACKWARD = "backward"
+FULL = "full"
+PUBLIC = "public"
 
 
 class GraphError(Exception):
@@ -173,10 +175,10 @@ class KnowledgeGraph:
     def relation_name(self, rid: int) -> str:
         return self.relations[rid].name
 
-    def neighbors(self, v: int, r: int, direction: str = FORWARD, view: str = "full") -> frozenset[int]:
+    def neighbors(self, v: int, r: int, direction: str = FORWARD, view: str = FULL) -> frozenset[int]:
         """Forward: tails of (v, r, *). Backward: heads of (*, r, v).
 
-        ``view="public"`` excludes private triples.
+        ``view=FULL`` reads every triple, ``view=PUBLIC`` excludes private ones.
         """
         key = (v, r, direction, view)
         result = self._lookups.get(key)
@@ -188,7 +190,9 @@ class KnowledgeGraph:
             raise GraphError("unknown relation id %d" % r)
         if direction not in (FORWARD, BACKWARD):
             raise GraphError("direction must be forward or backward, got %r" % direction)
-        indptr, targets = self._index(direction, view == "public" and bool(self.private))
+        if view not in (FULL, PUBLIC):
+            raise GraphError("view must be full or public, got %r" % view)
+        indptr, targets = self._index(direction, view == PUBLIC and bool(self.private))
         k = v * len(self.relations) + r
         result = self._lookups[key] = frozenset(targets[indptr[k]:indptr[k + 1]].tolist())
         return result

@@ -1,7 +1,7 @@
 """Exact set-semantics query evaluation plus privacy-tagged evaluation.
 
-One walk goes bottom-up over the query DAG and the adjacency indices and
-yields each answer set with its privacy-threatening part. ``evaluate_tagged``
+One walk recurses over the query tree and the adjacency indices and yields
+each answer set with its privacy-threatening part. ``evaluate_tagged``
 splits it into public and private members; ``evaluate`` keeps the full set.
 """
 
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import KnowledgeGraph
+from .graph import FULL, PUBLIC, KnowledgeGraph
 from .queries import Anchor, Intersection, Projection, QueryNode, Union
 
 RELAXED = "relaxed"
@@ -41,7 +41,7 @@ def _image(g: KnowledgeGraph, members, rel, direction, view) -> frozenset[int]:
 
 def evaluate(g: KnowledgeGraph, q: QueryNode) -> frozenset[int]:
     """Answer set of ``q`` on ``g``, private triples included."""
-    return _evaluate_tagged(g, q, RELAXED, {})[0]
+    return _walk(g, q, RELAXED)[0]
 
 
 def evaluate_tagged(g: KnowledgeGraph, q: QueryNode, mode: str = RELAXED) -> TaggedAnswerSet:
@@ -58,41 +58,29 @@ def evaluate_tagged(g: KnowledgeGraph, q: QueryNode, mode: str = RELAXED) -> Tag
     """
     if mode not in (RELAXED, STRICT):
         raise EvalError("mode must be relaxed or strict, got %r" % mode)
-    full, priv = _evaluate_tagged(g, q, mode, {})
+    full, priv = _walk(g, q, mode)
     return TaggedAnswerSet(public_members=full - priv, private_members=priv)
 
 
-# The walk is a module-level function that takes the memo as an argument: a
-# nested function that calls itself is a reference cycle, and every call would
-# leave its memo and closure for the cyclic garbage collector. The memo is
-# keyed by id(node): a frozen dataclass hashes its whole subtree on every
-# lookup, and the query holds every node alive for the whole call.
-
-
-def _evaluate_tagged(g, node, mode, memo):
+def _walk(g, node, mode):
     """(full, private) answer sets of ``node``; public = full - private."""
-    if id(node) in memo:
-        return memo[id(node)]
     if isinstance(node, Anchor):
-        result = (frozenset((node.vertex,)), _EMPTY)
-    elif isinstance(node, Projection):
-        child_full, child_priv = _evaluate_tagged(g, node.child, mode, memo)
-        full = _image(g, child_full, node.rel, node.direction, "full")
+        return frozenset((node.vertex,)), _EMPTY
+    if isinstance(node, Projection):
+        child_full, child_priv = _walk(g, node.child, mode)
+        full = _image(g, child_full, node.rel, node.direction, FULL)
         priv = _EMPTY
         if g.private:  # without private triples the public image is the full one
-            priv = full - _image(g, child_full - child_priv, node.rel, node.direction, "public")
+            priv = full - _image(g, child_full - child_priv, node.rel, node.direction, PUBLIC)
         if mode == STRICT:
-            priv = priv | _image(g, child_priv, node.rel, node.direction, "full")
-        result = (full, priv)
-    elif isinstance(node, (Intersection, Union)):
+            priv = priv | _image(g, child_priv, node.rel, node.direction, FULL)
+        return full, priv
+    if isinstance(node, (Intersection, Union)):
         combine = frozenset.intersection if isinstance(node, Intersection) else frozenset.union
-        fulls, privs = zip(*[_evaluate_tagged(g, c, mode, memo) for c in node.children])
+        fulls, privs = zip(*[_walk(g, c, mode) for c in node.children])
         full = combine(*fulls)
-        priv = _EMPTY
-        if any(privs):  # public = the children's public parts, combined alike
-            priv = full - combine(*map(frozenset.difference, fulls, privs))
-        result = (full, priv)
-    else:
-        raise EvalError("not a query node: %r" % (node,))
-    memo[id(node)] = result
-    return result
+        if not any(privs):
+            return full, _EMPTY
+        # public = the children's public parts, combined alike
+        return full, full - combine(*map(frozenset.difference, fulls, privs))
+    raise EvalError("not a query node: %r" % (node,))

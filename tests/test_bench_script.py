@@ -1,5 +1,5 @@
 """``scripts/bench.py``'s runner: the order of the children, the ``--src``
-flag and the merge into ``BENCH_<topic>.json``. The children are faked,
+flag, the paired verdict and the merge into ``BENCH_<topic>.json``. The children are faked,
 except for one that fails at once."""
 
 import importlib.util
@@ -41,8 +41,9 @@ def calls(tmp_path, monkeypatch):
 
 def test_rounds_alternate_which_label_runs_first(calls):
     assert bench.main(["train", "--src", "parent=%s" % ROOT, "--src", "change=%s" % ROOT]) == 0
-    assert calls == [(kind, label) for kind in bench.KINDS
-                     for label in ("parent", "change", "change", "parent", "parent", "change")]
+    orders = (("parent", "change"), ("change", "parent"))
+    assert calls == [(kind, label) for kind in bench.KINDS for i in range(bench.ROUNDS)
+                     for label in orders[i % 2]]
 
 
 @pytest.mark.parametrize("topic", sorted(bench.TOPICS))
@@ -58,9 +59,38 @@ def test_merge_replaces_only_the_measured_labels(tmp_path, calls, topic):
     for label in ("parent", "change"):
         assert sorted(result["labels"][label]) == sorted(cases)
         for entry in result["labels"][label].values():
-            assert set(entry) == ENTRY_KEYS[topic]
+            assert set(entry) == ENTRY_KEYS[topic] | ({"paired"} if label == "change" else set())
             assert len(entry["runs"]) == bench.ROUNDS
     assert len(calls) == 2 * bench.ROUNDS * len(cases)
+
+
+@pytest.mark.parametrize("topic", sorted(bench.TOPICS))
+def test_a_label_faster_in_every_round_wins_every_round(tmp_path, monkeypatch, topic):
+    def run(topic, case, label, src):
+        seconds = 0.1 if label == "change" else 0.2
+        return {"vertices": 3, "edges": 5, "peak_rss_mb": 1.0, "malloc_pinned": True,
+                "seconds": {s: seconds for s in bench.STAGES}, "gc_collections": 0,
+                "step_s": [seconds, 2 * seconds], "tape_nodes_per_step": 9,
+                "score_calls_per_step": 1}
+
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench, "run", run)
+    assert bench.main([topic, "--src", "parent=%s" % ROOT, "--src", "change=%s" % ROOT]) == 0
+    labels = json.loads((tmp_path / ("BENCH_%s.json" % topic)).read_text())["labels"]
+    for case in bench.TOPICS[topic].cases:
+        assert "paired" not in labels["parent"][case]
+        verdict = labels["change"][case]["paired"]
+        assert verdict["ratios"] == [0.5] * bench.ROUNDS
+        assert verdict["wins"] == bench.ROUNDS
+        assert verdict["p"] == 2 / 2 ** bench.ROUNDS
+
+
+def test_ties_count_for_neither_side():
+    first = [{"t": 1.0}] * 6
+    runs = [{"t": t} for t in (0.5, 1.0, 1.0, 0.5, 0.5, 2.0)]
+    verdict = bench.paired(first, runs, lambda r: r["t"])
+    # 3 wins and 1 loss in 4 untied rounds: p = 2 * (C(4,0) + C(4,1)) / 2**4
+    assert verdict == {"ratios": [0.5, 1.0, 1.0, 0.5, 0.5, 2.0], "wins": 3, "p": 10 / 16}
 
 
 @pytest.mark.parametrize("argv", [

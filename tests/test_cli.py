@@ -204,19 +204,22 @@ def test_report_refuses_a_report_without_an_mrr_header(tmp_path, capsys, bad, te
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bad,baseline", [("report", True), ("baseline", True),
-                                          ("report", False)],
-                         ids=["report", "baseline", "report-alone"])
-def test_report_refuses_a_non_numeric_mrr_with_its_line(tmp_path, capsys, bad, baseline):
+@pytest.mark.parametrize("bad,baseline,value", [
+    pytest.param(bad, baseline, value, id=case + ("" if value == "abc" else "-" + value))
+    for value in ("abc", "nan", "-inf")
+    for case, bad, baseline in (("report", "report", True), ("baseline", "baseline", True),
+                                ("report-alone", "report", False))])
+def test_report_refuses_a_non_numeric_mrr_with_its_line(tmp_path, capsys, bad, baseline, value):
     paths = {name: tmp_path / ("%s.tsv" % name) for name in ("report", "baseline")}
     for name, path in paths.items():
-        mrr = "abc" if name == bad else "0.5"
+        mrr = value if name == bad else "0.5"
         path.write_text(HEADER + "# a comment\n1p\tpublic\t0.1\t0.2\t0.3\t%s\t2\n" % mrr)
     out = tmp_path / "out"
     argv = ["report", "--eval-report", str(paths["report"]), "--out", str(out)]
     assert main(argv + (["--baseline", str(paths["baseline"])] if baseline else [])) == 1
     [line] = capsys.readouterr().err.splitlines()
-    assert line == "error: %s line 3: MRR 'abc' is not a number" % paths[bad]
+    problem = "not a number" if value == "abc" else "not a finite number"
+    assert line == "error: %s line 3: MRR %r is %s" % (paths[bad], value, problem)
     assert not out.exists()
 
 

@@ -136,6 +136,16 @@ def test_neighbors_fig2(toy_graph):
     assert toy_graph.neighbors(h, live, "forward", "public") == frozenset()
 
 
+@pytest.mark.parametrize("view", ["Public", "private", ""])
+def test_neighbors_refuse_an_unknown_view(toy_graph, view):
+    # a misspelt view must not fall through to the full one, which holds the private
+    # edge Hinton -> Toronto
+    h = toy_graph.vertex_id("Hinton")
+    live = toy_graph.relation_id("LiveIn")
+    with pytest.raises(GraphError, match="view must be full or public, got %r" % view):
+        toy_graph.neighbors(h, live, "forward", view)
+
+
 def test_neighbors_no_incident_triples(toy_graph):
     turing = toy_graph.vertex_id("Turing")
     live = toy_graph.relation_id("LiveIn")

@@ -141,7 +141,7 @@ def test_oracle_is_independent_of_the_walk():
     assert len(graph_loads) == len(graph_reads)  # g is passed to nothing
     names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
              if isinstance(n, (ast.Name, ast.Attribute))}
-    assert names.isdisjoint({"neighbors", "_index", "evaluate", "_evaluate_tagged", "_image"})
+    assert names.isdisjoint({"neighbors", "_index", "evaluate", "_walk", "_image"})
 
 
 def test_the_program_imports_nothing_from_tests():

@@ -178,7 +178,7 @@ def test_evaluation_leaves_no_reference_cycles():
 
 
 def test_structurally_equal_subtrees_evaluate_without_hashing(toy_graph, monkeypatch):
-    # two equal but distinct branches; the memo keys by identity, so no node is hashed
+    # two equal but distinct branches; the walk keeps no dict of nodes, so none is hashed
     text = "(p LiveIn (i (p WinAward (a Hinton)) (p WinAward (a LeCun))))"
     q = parse_query("(i %s %s)" % (text, text), toy_graph)
     assert q.children[0] == q.children[1] and q.children[0] is not q.children[1]
