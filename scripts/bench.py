@@ -20,7 +20,12 @@ on the run's allocation history; it reports whether the malloc pinning took
 (``malloc_pinned``) and its peak RSS. A child that fails stops the run with
 its label, case and standard error, and nothing is written. Otherwise the
 measured labels' entries replace their earlier ones in the file, the other
-labels are kept, and ``nproc`` is recorded with them.
+labels are kept, and ``nproc`` is recorded with them. Each entry also records
+the numeric environment its children ran on, read from
+``numpy.show_config(mode="dicts")``: the numpy version, the BLAS ``name``,
+``version`` and ``openblas configuration`` (which names the build target, not
+the kernel OpenBLAS picks at run time), the SIMD extensions found, and
+``OPENBLAS_CORETYPE`` (null when unset), which forces that kernel.
 
 Topic ``graph``, one case per rung (build-4k's graph, 5,248 vertices and
 36,000 edges, and a 15k rung, 19,500 vertices and 645,000 edges); a child
@@ -221,6 +226,21 @@ TOPICS = {
 
 # -- the runner shared by every topic ---------------------------------------------
 
+ENV_KEYS = ("numpy_version", "blas", "simd_found", "openblas_coretype")
+
+
+def numeric_env() -> dict:
+    """The ``ENV_KEYS`` of this process: numpy's build, as ``show_config``
+    reports it, and the OpenBLAS kernel forced through the environment, if any."""
+    import numpy
+
+    config = numpy.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {"numpy_version": numpy.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+            "simd_found": config["SIMD Extensions"]["found"],
+            "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE")}
+
 
 def paired(first: list, runs: list, seconds: Callable) -> dict:
     """``runs`` against the first label's ``first``, round by round: the ratios of
@@ -240,6 +260,7 @@ def child(topic: str, case: str) -> dict:
     result = TOPICS[topic].child(case)
     result["malloc_pinned"] = pinned
     result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    result.update(numeric_env())
     return result
 
 
@@ -291,6 +312,8 @@ def main(argv=None) -> int:
             for label, src in args.src[i % len(labels):] + args.src[:i % len(labels)]:
                 runs[label].append(run(args.topic, case, label, src))
         for label, label_runs in runs.items():
+            # one checkout, one numeric environment: kept once per entry, not per run
+            env = [{key: r.pop(key) for key in ENV_KEYS} for r in label_runs][0]
             summarized = topic.summary(label_runs)
             if label != labels[0]:
                 summarized["paired"] = paired(runs[labels[0]], label_runs, topic.seconds)
@@ -301,6 +324,7 @@ def main(argv=None) -> int:
                 **summarized,
                 "peak_rss_mb": max(r["peak_rss_mb"] for r in label_runs),
                 "malloc_pinned": all(r["malloc_pinned"] for r in label_runs),
+                **env,
                 "runs": label_runs,
             }
     out = os.path.join(ROOT, "BENCH_%s.json" % args.topic)

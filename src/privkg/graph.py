@@ -293,9 +293,11 @@ def load_schema(path) -> dict[str, str]:
     return dict(zip(fields[0::2], fields[1::2]))
 
 
-def _from_fields(fields: list[str], schema: dict[str, str]) -> KnowledgeGraph:
-    """Graph of the name triples ``fields[3 * i:3 * i + 3]``. Ids are assigned
-    in first-appearance order, heads before tails within a triple."""
+def load_triples(path, schema: dict[str, str]) -> KnowledgeGraph:
+    """Load a TSV triple file (``head<TAB>relation<TAB>tail``, '#' comments).
+    Ids follow first appearance, heads before tails within a line; duplicate
+    lines collapse to one triple (set semantics)."""
+    fields = read_tsv(path, 3, "triples")
     rels = fields[1::3]
     rid = dict(zip(dict.fromkeys(rels), itertools.count()))
     missing = [name for name in rid if name not in schema]
@@ -308,20 +310,6 @@ def _from_fields(fields: list[str], schema: dict[str, str]) -> KnowledgeGraph:
     r = np.fromiter(map(rid.__getitem__, rels), dtype=np.int64, count=len(rels))
     relations = [Relation(i, name, schema[name]) for name, i in rid.items()]
     return KnowledgeGraph(list(vid), relations, np.stack((ids[0::2], r, ids[1::2]), axis=1))
-
-
-def from_named_triples(named_triples, schema: dict[str, str]) -> KnowledgeGraph:
-    """Build a graph from (head, relation, tail) name triples.
-
-    Ids are assigned in first-appearance order, so loading is deterministic."""
-    return _from_fields([x for h, r, t in named_triples for x in (h, r, t)], schema)
-
-
-def load_triples(path, schema: dict[str, str]) -> KnowledgeGraph:
-    """Load a TSV triple file (``head<TAB>relation<TAB>tail``, '#' comments).
-
-    Duplicate lines collapse to one triple (set semantics)."""
-    return _from_fields(read_tsv(path, 3, "triples"), schema)
 
 
 def load_triple_set(path, g: KnowledgeGraph) -> EdgeSet:

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from privkg.graph import ATTR, REL, Triple, from_named_triples
+from privkg.graph import ATTR, REL, Triple
 from privkg.queries import Anchor, Intersection, Projection, Union
+from ._named_triples import from_named_triples
 
 TOY_SCHEMA = {"Collaborate": "rel", "WinAward": "rel", "LiveIn": "attr", "BornIn": "attr"}
 TOY_TRIPLES = [

@@ -17,12 +17,13 @@ from privkg.benchmark import (sample_private_edges, sample_queries,
                               split_edges, write_benchmark)
 from privkg.encoders import make_encoder
 from privkg.evaluation import calibrate_noise_sigma, evaluate_model, rank
-from privkg.graph import Triple, from_named_triples, write_triples
+from privkg.graph import Triple, write_triples
 from privkg.queries import (QUERY_TYPES, Anchor, Intersection, Projection,
                             Union, parse_query)
 from privkg.symbolic import RELAXED, STRICT, evaluate, evaluate_tagged
 from privkg.synthetic import make_synthetic_kg
 from privkg.training import BOTH, TrainConfig, total_loss, train
+from ._named_triples import from_named_triples
 from ._oracle import brute_force_oracle
 from .conftest import TOY_SCHEMA, TOY_TRIPLES, random_graph
 

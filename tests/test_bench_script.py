@@ -15,10 +15,12 @@ _spec.loader.exec_module(bench)
 
 ENTRY_KEYS = {
     "graph": {"vertices", "edges", "median_s", "median_total_s", "gc_collections",
-              "peak_rss_mb", "malloc_pinned", "runs"},
+              "peak_rss_mb", "malloc_pinned", "runs", *bench.ENV_KEYS},
     "train": {"vertices", "edges", "steps", "step_ms", "tape_nodes_per_step",
-              "score_calls_per_step", "peak_rss_mb", "malloc_pinned", "runs"},
+              "score_calls_per_step", "peak_rss_mb", "malloc_pinned", "runs", *bench.ENV_KEYS},
 }
+ENV = {"numpy_version": "2.4.6", "blas": {"name": "scipy-openblas"}, "simd_found": ["X86_V3"],
+       "openblas_coretype": None}
 
 
 @pytest.fixture
@@ -32,7 +34,7 @@ def calls(tmp_path, monkeypatch):
         return {"vertices": 3, "edges": 5, "peak_rss_mb": 1.0 + len(seen), "malloc_pinned": True,
                 "seconds": {s: 0.1 for s in bench.STAGES}, "gc_collections": len(seen),
                 "step_s": [0.001, 0.002 * len(seen)], "tape_nodes_per_step": 9,
-                "score_calls_per_step": 1}
+                "score_calls_per_step": 1, **ENV}
 
     monkeypatch.setattr(bench, "ROOT", str(tmp_path))
     monkeypatch.setattr(bench, "run", run)
@@ -61,6 +63,8 @@ def test_merge_replaces_only_the_measured_labels(tmp_path, calls, topic):
         for entry in result["labels"][label].values():
             assert set(entry) == ENTRY_KEYS[topic] | ({"paired"} if label == "change" else set())
             assert len(entry["runs"]) == bench.ROUNDS
+            assert {key: entry[key] for key in bench.ENV_KEYS} == ENV
+            assert not set(bench.ENV_KEYS) & set(entry["runs"][0])
     assert len(calls) == 2 * bench.ROUNDS * len(cases)
 
 
@@ -71,7 +75,7 @@ def test_a_label_faster_in_every_round_wins_every_round(tmp_path, monkeypatch, t
         return {"vertices": 3, "edges": 5, "peak_rss_mb": 1.0, "malloc_pinned": True,
                 "seconds": {s: seconds for s in bench.STAGES}, "gc_collections": 0,
                 "step_s": [seconds, 2 * seconds], "tape_nodes_per_step": 9,
-                "score_calls_per_step": 1}
+                "score_calls_per_step": 1, **ENV}
 
     monkeypatch.setattr(bench, "ROOT", str(tmp_path))
     monkeypatch.setattr(bench, "run", run)
@@ -83,6 +87,20 @@ def test_a_label_faster_in_every_round_wins_every_round(tmp_path, monkeypatch, t
         assert verdict["ratios"] == [0.5] * bench.ROUNDS
         assert verdict["wins"] == bench.ROUNDS
         assert verdict["p"] == 2 / 2 ** bench.ROUNDS
+
+
+def test_numeric_env_reads_numpy_build_and_the_forced_kernel(monkeypatch):
+    import numpy
+
+    monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")
+    env = bench.numeric_env()
+    assert set(env) == set(bench.ENV_KEYS)
+    assert env["numpy_version"] == numpy.__version__
+    assert set(env["blas"]) == {"name", "version", "openblas configuration"}
+    assert isinstance(env["simd_found"], list)
+    assert env["openblas_coretype"] == "Haswell"
+    monkeypatch.delenv("OPENBLAS_CORETYPE")
+    assert bench.numeric_env()["openblas_coretype"] is None
 
 
 def test_ties_count_for_neither_side():

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from privkg.benchmark import (BenchmarkError, BenchmarkQuery, _names, format_stats, query_line,
                               read_benchmark, sample_private_edges, sample_queries, split_edges,
                               training_subset, validation_subset, write_benchmark)
-from privkg.graph import (FORWARD, EdgeSet, GraphError, from_named_triples, load_triples,
-                          write_triples)
+from privkg.graph import FORWARD, EdgeSet, GraphError, load_triples, write_triples
 from privkg.queries import (QUERY_TYPES, Anchor, Projection, QueryError, classify_type, shape,
                             to_dnf)
 from privkg.symbolic import TaggedAnswerSet, evaluate, evaluate_tagged
 from privkg.synthetic import make_synthetic_kg
+from ._named_triples import from_named_triples
 from .conftest import random_graph
 
 

@@ -5,8 +5,9 @@ import os
 import pytest
 
 from privkg.cli import main
-from privkg.graph import from_named_triples, write_triples
+from privkg.graph import write_triples
 from privkg.queries import QUERY_TYPES
+from ._named_triples import from_named_triples
 from .conftest import TOY_SCHEMA, TOY_TRIPLES
 
 

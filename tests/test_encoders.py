@@ -10,10 +10,10 @@ import pytest
 from privkg import autodiff as ad
 from privkg.encoders import (ENCODERS, BoxEmbedding, EncoderError, ParticleEmbedding,
                              VectorEmbedding, load_encoder, make_encoder)
-from privkg.graph import from_named_triples
 from privkg.queries import Anchor, Intersection, Projection, parse_query
 from privkg.training import total_loss
 from . import _ops as ops
+from ._named_triples import from_named_triples
 from .conftest import random_graph, random_query
 
 KINDS = ("gqe", "q2b", "q2p")

@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from privkg.benchmark import sample_private_edges, split_edges
 from privkg.graph import (ATTR, REL, EdgeSet, GraphError, KnowledgeGraph, Relation, Triple,
-                          from_named_triples, load_schema, load_triples, load_triple_set,
-                          write_triples)
+                          load_schema, load_triples, load_triple_set, write_triples)
 from privkg.synthetic import make_synthetic_kg
+from ._named_triples import from_named_triples
 from .conftest import random_graph
 
 

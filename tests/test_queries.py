@@ -4,11 +4,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privkg.graph import from_named_triples
 from privkg.queries import (_TOKEN, FORWARD, QUERY_TYPES, TEMPLATES, Anchor, Intersection,
                             Projection, QueryError, Union, classify_type,
                             parse_query, serialize, shape, to_dnf)
 from privkg.symbolic import evaluate
+from ._named_triples import from_named_triples
 from .conftest import TOY_SCHEMA, TOY_TRIPLES, random_graph, random_query
 
 

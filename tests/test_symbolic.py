@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from privkg.graph import FORWARD, REL, ATTR, KnowledgeGraph, Triple, from_named_triples
+from privkg.graph import FORWARD, REL, ATTR, KnowledgeGraph, Triple
 from privkg.queries import Anchor, Intersection, Projection, parse_query
 from privkg.symbolic import EvalError, evaluate, evaluate_tagged
+from ._named_triples import from_named_triples
 from ._oracle import brute_force_oracle
 from .conftest import mark_random_private, random_graph, random_query
 
