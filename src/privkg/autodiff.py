@@ -84,23 +84,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
-
     def __mul__(self, other):
         return multiply(self, other)
-
-    def __rmul__(self, other):
-        return multiply(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __neg__(self):
         return multiply(self, -1.0)
@@ -249,14 +234,19 @@ def reduce_mean(a, axis=None) -> Tensor:
     return multiply(reduce_sum(a, axis=axis), 1.0 / count)
 
 
-def _reduce_extreme(a, axis, argfn, redfn):
+def _reduce_extreme(a, axis, redfn):
     a = tensor(a)
     out_data = redfn(a.data, axis=axis)
     out = Tensor(out_data, (a,))
 
     def back(g):
-        # subgradient: route everything to the first extremal position
-        idx = argfn(a.data, axis=axis)
+        # subgradient to the first entry equal to the extreme or NaN, argmin/argmax's
+        # pick, found by counting misses (they loop column by column on a middle axis)
+        hit = np.moveaxis((a.data == np.expand_dims(out_data, axis)) | np.isnan(a.data), axis, 0)
+        miss, idx = np.ones(out_data.shape, dtype=bool), np.zeros(out_data.shape, dtype=np.intp)
+        for k in range(len(hit) - 1):
+            miss &= ~hit[k]
+            idx += miss
         grad = np.zeros_like(a.data)
         np.put_along_axis(grad, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
         a._accumulate(grad)
@@ -266,11 +256,11 @@ def _reduce_extreme(a, axis, argfn, redfn):
 
 
 def reduce_min(a, axis=0) -> Tensor:
-    return _reduce_extreme(a, axis, np.argmin, np.min)
+    return _reduce_extreme(a, axis, np.min)
 
 
 def reduce_max(a, axis=0) -> Tensor:
-    return _reduce_extreme(a, axis, np.argmax, np.max)
+    return _reduce_extreme(a, axis, np.max)
 
 
 # -- elementwise nonlinearities -------------------------------------------

@@ -4,15 +4,16 @@ store, and a per-triple private flag on attribute edges.
 Graphs are immutable after construction; ``mark_private`` and ``public_view``
 return new views sharing the vertex and relation tables. A graph's
 ``triples``, ``private`` and ``attribute_triples()`` are ``EdgeSet``s over
-sorted int64 keys. Neighbour lookups go through CSR indices
-(``indptr``/``targets`` over the key ``src * R + rel``), built lazily per
-direction and view; each lookup's frozenset is memoised on the graph.
+sorted int64 keys in the graph's key space (relation count, vertex count), and
+set operations combine only ``EdgeSet``s of one key space. Neighbour lookups go
+through CSR indices (``indptr``/``targets`` over the key ``src * R + rel``),
+built lazily per direction and view; each lookup's frozenset is memoised on the
+graph.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Set
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -49,19 +50,22 @@ def _unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
 
 
-def _on_keys(array_op, fallback):
-    """``array_op`` between two views of one key space, else the ``Set`` mixin."""
+def _on_keys(array_op):
+    """``array_op`` between two views of one key space; any other operand is a
+    ``TypeError``, not a comparison of raw keys or of Python sets."""
     def op(self, other):
         if isinstance(other, EdgeSet) and other.space == self.space:
             return array_op(self, other)
-        return fallback(self, other)
+        raise TypeError("EdgeSet of key space %r against %s: both operands must be EdgeSets of "
+                        "one key space" % (self.space, getattr(other, "space", type(other).__name__)))
     return op
 
 
-class EdgeSet(Set):
+class EdgeSet:
     """Read-only set of ``Triple``s stored as the sorted, distinct int64 keys
     ``(head * R + rel) * V + tail`` of the key space ``space = (R, V)``.
-    Iteration decodes the keys in ``(head, rel, tail)`` order."""
+    Iteration decodes the keys in ``(head, rel, tail)`` order; ``&``, ``-``,
+    ``<=`` and ``==`` take only an ``EdgeSet`` of the same key space."""
 
     __slots__ = ("keys", "space")
 
@@ -72,18 +76,6 @@ class EdgeSet(Set):
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __contains__(self, triple) -> bool:
-        n_rel, n_vert = self.space
-        try:
-            h, r, t = triple
-            if not (0 <= h < n_vert and 0 <= r < n_rel and 0 <= t < n_vert):
-                return False
-        except (TypeError, ValueError):
-            return False
-        k = (h * n_rel + r) * n_vert + t
-        i = self.keys.searchsorted(k)
-        return i < len(self.keys) and self.keys[i] == k
-
     def __iter__(self):
         return map(Triple._make, self.rows().tolist())
 
@@ -93,18 +85,12 @@ class EdgeSet(Set):
         head, rest = np.divmod(self.keys, max(n_rel * n_vert, 1))
         return np.stack((head, *np.divmod(rest, max(n_vert, 1))), axis=1)
 
-    _from_iterable = frozenset  # what the Set mixins build their results with
-
     __and__ = _on_keys(lambda a, b: EdgeSet(a.keys[np.isin(a.keys, b.keys, assume_unique=True)],
-                                            a.space), Set.__and__)
+                                            a.space))
     __sub__ = _on_keys(lambda a, b: EdgeSet(a.keys[np.isin(a.keys, b.keys, assume_unique=True,
-                                                           invert=True)], a.space), Set.__sub__)
-    __or__ = _on_keys(lambda a, b: EdgeSet(_unique(np.concatenate((a.keys, b.keys))), a.space),
-                      Set.__or__)
-    __le__ = _on_keys(lambda a, b: bool(np.isin(a.keys, b.keys, assume_unique=True).all()),
-                      Set.__le__)
-    __eq__ = _on_keys(lambda a, b: np.array_equal(a.keys, b.keys), Set.__eq__)
-    __hash__ = Set._hash  # equal to the hash of a frozenset of the same triples
+                                                           invert=True)], a.space))
+    __le__ = _on_keys(lambda a, b: bool(np.isin(a.keys, b.keys, assume_unique=True).all()))
+    __eq__ = _on_keys(lambda a, b: np.array_equal(a.keys, b.keys))
 
 
 class KnowledgeGraph:
@@ -132,13 +118,15 @@ class KnowledgeGraph:
         self._lookups: dict[tuple, frozenset[int]] = {}
 
     def edge_set(self, triples) -> EdgeSet:
-        """``triples`` (an ``EdgeSet``, an ``(n, 3)`` array or an iterable of triples)
-        in this graph's key space; an id outside its table raises ``GraphError``."""
+        """``triples`` (an ``EdgeSet`` of this graph's key space, an ``(n, 3)`` array
+        or an iterable of triples) in this graph's key space; an id outside its
+        table, or an ``EdgeSet`` of another key space, raises ``GraphError``."""
         if isinstance(triples, EdgeSet):
-            if triples.space == self._space:
-                return triples
-            rows = triples.rows()
-        elif isinstance(triples, np.ndarray):
+            if triples.space != self._space:
+                raise GraphError("edge set of key space %r is not of this graph's key space %r"
+                                 % (triples.space, self._space))
+            return triples
+        if isinstance(triples, np.ndarray):
             rows = triples.astype(np.int64, copy=False).reshape(-1, 3)
         else:
             rows = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64).reshape(-1, 3)
@@ -322,16 +310,16 @@ def load_triple_set(path, g: KnowledgeGraph) -> EdgeSet:
 
 def write_triples(path, g: KnowledgeGraph, triples) -> None:
     """One ``head<TAB>relation<TAB>tail`` line per distinct triple, in key
-    order; ``triples``: anything ``edge_set`` takes. The lines are built over
-    object arrays of names, with no Python container per row to track. Nothing
-    is written if a written name would not read back (``GraphError``)."""
+    order; ``triples``: anything ``edge_set`` takes. The lines are joined in one
+    pass over object arrays of names, with no intermediate array of strings.
+    Nothing is written if a written name would not read back (``GraphError``)."""
     names = np.array(g.vertex_names, dtype=object)
     rels = np.array([r.name for r in g.relations], dtype=object)
     h, r, t = g.edge_set(triples).rows().T
     for table, ids in ((g.vertex_names, (h, t)), (rels, (r,))):
         if any(map("".join(table).__contains__, _BREAKS)):  # only written names count
             check_fields([table[i] for i in _unique(np.concatenate(ids))])
-    text = "".join(names[h] + "\t" + rels[r] + "\t" + names[t] + "\n")
+    text = "\n".join(map("\t".join, zip(names[h], rels[r], names[t]))) + "\n" if len(h) else ""
     if text[:1] == "#" or "\n#" in text:
         raise GraphError("head name %r would read back as a comment: it starts with '#'"
                          % next(n for n in names[h] if n[:1] == "#"))

@@ -45,6 +45,26 @@ def test_reductions_and_norms_match_loops():
                          [sum(a[i]) / 4 for i in range(3)])) < 1e-12
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2, -1])
+@pytest.mark.parametrize("fn, argfn", [(ad.reduce_min, np.argmin), (ad.reduce_max, np.argmax)])
+def test_reduce_extreme_routes_the_gradient_as_argmin_argmax_do(fn, argfn, axis):
+    # a 1/2 grid gives exact ties (0.0 against -0.0 too) along every axis; a NaN
+    # is the extreme of its line, and the first NaN takes the gradient
+    data = np.round(rand(4, 5, 6, seed=31) * 2) / 2
+    data[1, 2, :] = data[2, :, 3] = data[:, 4, 1] = np.nan
+    data[0, 0, 0] = data[3, 1, 5] = np.nan
+    weights = rand(*np.delete(data.shape, axis), seed=32)
+    a = ad.Tensor(data, requires_grad=True)
+    out = fn(a, axis=axis)
+    ad.reduce_sum(ad.multiply(out, weights)).backward()
+    want = np.zeros_like(data)
+    idx = np.expand_dims(argfn(data, axis=axis), axis)
+    np.put_along_axis(want, idx, np.expand_dims(weights, axis), axis)
+    assert np.array_equal(a.grad, want)
+    assert np.array_equal(out.data, np.take_along_axis(data, idx, axis).squeeze(axis),
+                          equal_nan=True)
+
+
 def test_pointwise_nonlinearities_match_loops():
     a = rand(3, 4, seed=6)
     checks = {

@@ -39,7 +39,7 @@ def test_sample_private_edges_seeded(kg):
 
 
 def test_sample_private_edges_empty_and_too_many(kg):
-    assert sample_private_edges(kg, 0, seed=1) == frozenset()
+    assert len(sample_private_edges(kg, 0, seed=1)) == 0
     with pytest.raises(BenchmarkError):
         sample_private_edges(kg, len(kg.attribute_triples()) + 1, seed=1)
 
@@ -70,9 +70,10 @@ def test_split_cumulative_containment(seed):
     assert split.test.private <= split.test.triples
     assert not split.test.private & split.train.triples
     assert not split.test.private & split.valid.triples
-    # the split stays hashable: its private set hashes like the frozenset it equals
-    assert hash(split.test.private) == hash(frozenset(split.test.private)) \
-        and hash(split) == hash(split)
+    # the split stays hashable (its graphs hash by identity); an edge set is not
+    assert hash(split) == hash(split)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(split.test.private)
 
 
 def test_split_rejects_non_attribute_private():

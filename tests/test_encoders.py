@@ -307,12 +307,12 @@ def clipped_l1_scores(m, emb):
     """Q2B scores as composed before ``ad.box_distances``: (B, nv, d) on the tape."""
     center, offset = (ad.reshape(t, (-1, 1, m.dim)) for t in emb)
     q_max = center + offset
-    q_min = center - offset
+    q_min = ad.subtract(center, offset)
     outside = ad.reduce_sum(ad.relu(ad.subtract(m.ent, q_max)) +
                             ad.relu(ad.subtract(q_min, m.ent)), axis=2)
     clipped = ops.minimum(q_max, ops.maximum(q_min, m.ent))
     inside = ad.reduce_sum(ops.absolute(ad.subtract(center, clipped)), axis=2)
-    return -(outside + m.alpha * inside)
+    return -(outside + ad.multiply(m.alpha, inside))
 
 
 @pytest.mark.parametrize("rows", [1, 280])

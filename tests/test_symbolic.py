@@ -137,7 +137,7 @@ def test_relaxed_public_monotone_in_public_triples(seed):
     # add a public triple
     extra = Triple(rng.randrange(g.num_vertices()), rng.randrange(len(g.relations)),
                    rng.randrange(g.num_vertices()))
-    bigger = g.with_triples(g.triples | {extra}, private=g.private)
+    bigger = g.with_triples([*g.triples, extra], private=g.private)
     after = evaluate_tagged(bigger, q, "relaxed").public_members
     assert after >= before
 
