@@ -80,10 +80,9 @@ def _step_choices(g: KnowledgeGraph, v: int):
 
     Incoming (u, r, v) -> forward projection from u; outgoing (v, r, x) ->
     backward projection from x."""
-    return sorted([(FORWARD, rel.id, u) for rel in g.relations
-                   for u in g.neighbors(v, rel.id, BACKWARD)] +
-                  [(BACKWARD, rel.id, x) for rel in g.relations
-                   for x in g.neighbors(v, rel.id, FORWARD)])
+    rels = range(len(g.relations))
+    return sorted([(FORWARD, r, u) for r in rels for u in g.neighbors(v, r, BACKWARD)] +
+                  [(BACKWARD, r, x) for r in rels for x in g.neighbors(v, r, FORWARD)])
 
 
 def _sample_chain(g, v, length, rng):

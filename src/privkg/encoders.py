@@ -10,7 +10,6 @@ Backward projections use a dedicated inverse-relation row per relation.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from typing import NamedTuple
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, vocabulary_digests
 from .queries import BACKWARD, Anchor, Projection, QueryNode
 
 DEFAULT_DIM = 64
@@ -189,18 +188,10 @@ class Encoder:
 
     def manifest(self) -> dict:
         return {"kind": self.kind, "dim": self.dim, "n_particles": self.n_particles,
-                **_vocabulary_digests(self.graph)}
+                **vocabulary_digests(self.graph.relations, self.graph.vertex_names)}
 
     def save(self, path) -> None:
         self.store.save(path, header_extra=json.dumps(self.manifest(), sort_keys=True))
-
-
-def _vocabulary_digests(graph: KnowledgeGraph) -> dict:
-    """sha256 of the vertex names and of the relation (name, kind) pairs, in id order."""
-    def digest(items):
-        return hashlib.sha256(json.dumps(items).encode("utf-8")).hexdigest()
-    return {"vertex_digest": digest(list(graph.vertex_names)),
-            "relation_digest": digest([[r.name, r.kind] for r in graph.relations])}
 
 
 def load_encoder(path, graph: KnowledgeGraph) -> "Encoder":
@@ -217,7 +208,7 @@ def load_encoder(path, graph: KnowledgeGraph) -> "Encoder":
             if type(manifest.get(key)) is not want:
                 raise EncoderError("checkpoint header field %r is missing or not a %s"
                                    % (key, want.__name__))
-        for key, want in _vocabulary_digests(graph).items():
+        for key, want in vocabulary_digests(graph.relations, graph.vertex_names).items():
             if manifest.get(key) != want:
                 raise EncoderError("checkpoint vocabulary does not match the graph: %s differs"
                                    % key)

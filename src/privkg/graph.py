@@ -1,20 +1,21 @@
 """In-memory knowledge graph: interned vertices/relations, one array edge
 store, and a per-triple private flag on attribute edges.
 
-Graphs are immutable after construction; ``mark_private`` and ``public_view``
-return new views sharing the vertex and relation tables. A graph's
-``triples``, ``private`` and ``attribute_triples()`` are ``EdgeSet``s over
-sorted int64 keys in the graph's key space (relation count, vertex count), and
-set operations combine only ``EdgeSet``s of one key space. Neighbour lookups go
-through CSR indices (``indptr``/``targets`` over the key ``src * R + rel``),
-built lazily per direction and view; each lookup's frozenset is memoised on the
-graph.
+An id is a position in ``vertex_names`` or ``relations``. Graphs are immutable;
+``mark_private`` and ``public_view`` return views sharing those tables, which
+are the key space of the graph's ``EdgeSet``s (``triples``, ``private``,
+``attribute_triples()``): set operations combine only ``EdgeSet``s of equal
+tables, and a refusal names both by their ``vocabulary_digests``. Neighbour
+lookups go through CSR indices (``indptr``/``targets`` over ``src * R + rel``),
+built lazily per direction and view; each lookup's frozenset is memoised.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
-from dataclasses import dataclass
+import json
+from dataclasses import astuple, dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -33,7 +34,6 @@ class GraphError(Exception):
 
 @dataclass(frozen=True)
 class Relation:
-    id: int
     name: str
     kind: str  # REL or ATTR
 
@@ -50,26 +50,40 @@ def _unique(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))] if len(keys) else keys
 
 
+def vocabulary_digests(relations, vertex_names) -> dict:
+    """sha256 of the vertex names and of the relation (name, kind) pairs, in id order."""
+    def digest(items):
+        return hashlib.sha256(json.dumps(items).encode("utf-8")).hexdigest()
+    return {"vertex_digest": digest(list(vertex_names)),
+            "relation_digest": digest([[r.name, r.kind] for r in relations])}
+
+
+def _vocabulary(space) -> str:
+    return "vocabulary %(vertex_digest).12s/%(relation_digest).12s" % vocabulary_digests(*space)
+
+
 def _on_keys(array_op):
-    """``array_op`` between two views of one key space; any other operand is a
+    """``array_op`` between two views of one vocabulary; any other operand is a
     ``TypeError``, not a comparison of raw keys or of Python sets."""
     def op(self, other):
         if isinstance(other, EdgeSet) and other.space == self.space:
             return array_op(self, other)
-        raise TypeError("EdgeSet of key space %r against %s: both operands must be EdgeSets of "
-                        "one key space" % (self.space, getattr(other, "space", type(other).__name__)))
+        theirs = _vocabulary(other.space) if isinstance(other, EdgeSet) else type(other).__name__
+        raise TypeError("EdgeSet of %s against %s: both operands must be EdgeSets of one "
+                        "vocabulary" % (_vocabulary(self.space), theirs))
     return op
 
 
 class EdgeSet:
     """Read-only set of ``Triple``s stored as the sorted, distinct int64 keys
-    ``(head * R + rel) * V + tail`` of the key space ``space = (R, V)``.
-    Iteration decodes the keys in ``(head, rel, tail)`` order; ``&``, ``-``,
-    ``<=`` and ``==`` take only an ``EdgeSet`` of the same key space."""
+    ``(head * R + rel) * V + tail`` of the key space ``space``, its graph's
+    ``(relations, vertex_names)`` (R and V their lengths). Iteration decodes the
+    keys in ``(head, rel, tail)`` order; ``&``, ``-``, ``<=`` and ``==`` take
+    only an ``EdgeSet`` of equal tables (shared by every view of one graph)."""
 
     __slots__ = ("keys", "space")
 
-    def __init__(self, keys: np.ndarray, space: tuple[int, int]):
+    def __init__(self, keys: np.ndarray, space: tuple[tuple, tuple]):
         keys.flags.writeable = False
         self.keys, self.space = keys, space
 
@@ -81,7 +95,7 @@ class EdgeSet:
 
     def rows(self) -> np.ndarray:
         """The ``(E, 3)`` int64 rows ``(head, rel, tail)``, in key order."""
-        n_rel, n_vert = self.space
+        n_rel, n_vert = map(len, self.space)
         head, rest = np.divmod(self.keys, max(n_rel * n_vert, 1))
         return np.stack((head, *np.divmod(rest, max(n_vert, 1))), axis=1)
 
@@ -99,12 +113,14 @@ class KnowledgeGraph:
         self.vertex_names: tuple[str, ...] = tuple(vertex_names)
         self.relations: tuple[Relation, ...] = tuple(relations)
         self._vid = {name: i for i, name in enumerate(self.vertex_names)}
-        self._rid = {r.name: r.id for r in self.relations}
+        self._rid = {r.name: i for i, r in enumerate(self.relations)}
         if len(self._vid) != len(self.vertex_names):
             raise GraphError("duplicate vertex name")
         if len(self._rid) != len(self.relations):
             raise GraphError("duplicate relation name")
-        self._space = (len(self.relations), len(self.vertex_names))
+        if bad := [astuple(r) for r in self.relations if r.kind not in (REL, ATTR)]:
+            raise GraphError("relation %r: kind must be rel or attr, got %r" % bad[0])
+        self._space = (self.relations, self.vertex_names)
         self._is_attr = np.array([r.kind == ATTR for r in self.relations], dtype=bool)
         self.triples: EdgeSet = self.edge_set(triples)
         self.private: EdgeSet = self.edge_set(private)
@@ -118,19 +134,19 @@ class KnowledgeGraph:
         self._lookups: dict[tuple, frozenset[int]] = {}
 
     def edge_set(self, triples) -> EdgeSet:
-        """``triples`` (an ``EdgeSet`` of this graph's key space, an ``(n, 3)`` array
+        """``triples`` (an ``EdgeSet`` of this graph's tables, an ``(n, 3)`` array
         or an iterable of triples) in this graph's key space; an id outside its
-        table, or an ``EdgeSet`` of another key space, raises ``GraphError``."""
+        table, or an ``EdgeSet`` of other tables, raises ``GraphError``."""
         if isinstance(triples, EdgeSet):
             if triples.space != self._space:
-                raise GraphError("edge set of key space %r is not of this graph's key space %r"
-                                 % (triples.space, self._space))
+                raise GraphError("edge set of %s is not of this graph's %s"
+                                 % (_vocabulary(triples.space), _vocabulary(self._space)))
             return triples
         if isinstance(triples, np.ndarray):
             rows = triples.astype(np.int64, copy=False).reshape(-1, 3)
         else:
             rows = np.fromiter(itertools.chain.from_iterable(triples), dtype=np.int64).reshape(-1, 3)
-        n_rel, n_vert = self._space
+        n_rel, n_vert = len(self.relations), len(self.vertex_names)
         # keys of an id outside its table would collide with other triples'
         for cols, size, what in (([0, 2], n_vert, "endpoint outside vertex table"),
                                  ([1], n_rel, "relation outside relation table")):
@@ -207,7 +223,7 @@ class KnowledgeGraph:
         return np.flatnonzero(fwd + bwd).tolist()
 
     def attribute_triples(self) -> EdgeSet:
-        n_rel, n_vert = self._space
+        n_rel, n_vert = len(self.relations), len(self.vertex_names)
         keys = self.triples.keys
         return EdgeSet(keys[self._is_attr[keys // n_vert % n_rel]], self._space)
 
@@ -282,10 +298,13 @@ def load_schema(path) -> dict[str, str]:
 
 
 def load_triples(path, schema: dict[str, str]) -> KnowledgeGraph:
-    """Load a TSV triple file (``head<TAB>relation<TAB>tail``, '#' comments).
-    Ids follow first appearance, heads before tails within a line; duplicate
-    lines collapse to one triple (set semantics)."""
-    fields = read_tsv(path, 3, "triples")
+    """Load a TSV triple file (``head<TAB>relation<TAB>tail``, '#' comments)."""
+    return graph_from_fields(read_tsv(path, 3, "triples"), schema)
+
+
+def graph_from_fields(fields: list[str], schema: dict[str, str]) -> KnowledgeGraph:
+    """The graph of the name triples ``fields[3i:3i + 3]``: ids in first appearance,
+    heads before tails within a triple; a repeated triple is one (set semantics)."""
     rels = fields[1::3]
     rid = dict(zip(dict.fromkeys(rels), itertools.count()))
     missing = [name for name in rid if name not in schema]
@@ -296,7 +315,7 @@ def load_triples(path, schema: dict[str, str]) -> KnowledgeGraph:
     vid = dict(zip(dict.fromkeys(ends), itertools.count()))
     ids = np.fromiter(map(vid.__getitem__, ends), dtype=np.int64, count=len(ends))
     r = np.fromiter(map(rid.__getitem__, rels), dtype=np.int64, count=len(rels))
-    relations = [Relation(i, name, schema[name]) for name, i in rid.items()]
+    relations = [Relation(name, schema[name]) for name in rid]
     return KnowledgeGraph(list(vid), relations, np.stack((ids[0::2], r, ids[1::2]), axis=1))
 
 

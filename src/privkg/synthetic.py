@@ -73,8 +73,8 @@ def make_synthetic_kg(n_entities: int = 240, n_communities: int = 6,
                                                       (x - n) % values_per_pool)
              for x in codes[order].tolist()]
     present = np.unique(rel).tolist()
-    relations = [Relation(i, "rel%d" % x if x < n_relations else "attr%d" % (x - n_relations),
-                          REL if x < n_relations else ATTR) for i, x in enumerate(present)]
+    relations = [Relation("rel%d" % x if x < n_relations else "attr%d" % (x - n_relations),
+                          REL if x < n_relations else ATTR) for x in present]
     ends = np.argsort(order)[inverse.reshape(-1)].reshape(-1, 2)
     return KnowledgeGraph(names, relations,
                           np.stack((ends[:, 0], np.searchsorted(present, rel), ends[:, 1]), axis=1))

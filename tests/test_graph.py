@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from privkg.benchmark import sample_private_edges, split_edges
 from privkg.graph import (ATTR, REL, EdgeSet, GraphError, KnowledgeGraph, Relation, Triple,
-                          load_schema, load_triples, load_triple_set, write_triples)
+                          load_schema, load_triples, load_triple_set, vocabulary_digests,
+                          write_triples)
 from privkg.synthetic import make_synthetic_kg
 from ._named_triples import from_named_triples
 from .conftest import random_graph
@@ -196,7 +197,7 @@ def graphs_with_private(draw):
                                            st.integers(0, len(kinds) - 1),
                                            st.integers(0, n_vertices - 1)), max_size=30))
     g = KnowledgeGraph(["v%d" % i for i in range(n_vertices)],
-                       [Relation(i, "r%d" % i, kind) for i, kind in enumerate(kinds)], triples)
+                       [Relation("r%d" % i, kind) for i, kind in enumerate(kinds)], triples)
     attrs = sorted(g.attribute_triples())
     return g.mark_private(draw(st.sets(st.sampled_from(attrs))) if attrs else ())
 
@@ -226,9 +227,15 @@ def test_neighbors_match_linear_scan_property(g, public_first):
     ([Triple(0, 0, 1)], [Triple(0, 0, 1)], "non-attribute"),
 ])
 def test_constructor_rejects_inconsistent_tables(triples, private, match):
-    relations = [Relation(0, "r", REL), Relation(1, "a", ATTR)]
+    relations = [Relation("r", REL), Relation("a", ATTR)]
     with pytest.raises(GraphError, match=match):
         KnowledgeGraph(["x", "y"], relations, triples, private)
+
+
+def test_constructor_refuses_an_unknown_relation_kind():
+    # an unknown kind used to count as rel: no attribute triple, nothing private
+    with pytest.raises(GraphError, match="relation 'LiveIn': kind must be rel or attr, got 'Attr'"):
+        KnowledgeGraph(["x", "y"], [Relation("LiveIn", "Attr")], [(0, 0, 1)])
 
 
 def test_neighbors_unknown_ids(toy_graph):
@@ -290,7 +297,7 @@ def graphs_with_rows(draw):
         (draw(st.lists(row, max_size=25)), draw(st.lists(row, max_size=25)))
     rows += draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
     g = KnowledgeGraph(["n%d é" % i for i in range(n_vertices)],
-                       [Relation(i, "r%d" % i, kind) for i, kind in enumerate(kinds)], rows)
+                       [Relation("r%d" % i, kind) for i, kind in enumerate(kinds)], rows)
     return g, rows, other
 
 
@@ -312,12 +319,19 @@ def test_edge_set_matches_frozenset_reference(case):
                                                 if g.relations[t[1]].kind == ATTR}
 
 
+def vocabulary(g):
+    return "vocabulary %(vertex_digest).12s/%(relation_digest).12s" % vocabulary_digests(
+        g.relations, g.vertex_names)
+
+
 def test_edge_set_operators_take_only_an_edge_set_of_the_same_key_space(toy_graph):
     a = toy_graph.triples
-    other_space = from_named_triples([("A", "r", "B")], {"r": REL}).triples
-    for other in (frozenset(a), set(a), list(a), None, other_space):
+    other_graph = from_named_triples([("A", "r", "B")], {"r": REL})
+    for other in (frozenset(a), set(a), list(a), None, other_graph.triples):
+        theirs = vocabulary(other_graph) if other is other_graph.triples else type(other).__name__
         for op in (operator.and_, operator.sub, operator.le, operator.eq, operator.ne):
-            with pytest.raises(TypeError, match=re.escape("key space %r against" % (a.space,))):
+            with pytest.raises(TypeError, match=re.escape("EdgeSet of %s against %s: "
+                                                          % (vocabulary(toy_graph), theirs))):
                 op(a, other)
             with pytest.raises(TypeError):  # the reversed operand order refuses too
                 op(other, a)
@@ -330,8 +344,8 @@ def test_edge_set_operators_take_only_an_edge_set_of_the_same_key_space(toy_grap
 def test_edge_set_and_mark_private_refuse_another_graphs_edge_set(tmp_path, toy_graph):
     other = from_named_triples([("A", "LiveIn", "B")], {"LiveIn": ATTR})
     other = other.mark_private(other.triples)
-    message = re.escape("edge set of key space %r is not of this graph's key space %r"
-                        % (other.triples.space, toy_graph.triples.space))
+    message = re.escape("edge set of %s is not of this graph's %s"
+                        % (vocabulary(other), vocabulary(toy_graph)))
     for refused in (lambda: toy_graph.edge_set(other.triples),
                     lambda: toy_graph.mark_private(other.private),
                     lambda: toy_graph.with_triples(other.triples),
@@ -341,6 +355,36 @@ def test_edge_set_and_mark_private_refuse_another_graphs_edge_set(tmp_path, toy_
     assert not (tmp_path / "t.tsv").exists()
     # the same triples as rows are ids in this graph's tables, not a re-keying
     assert toy_graph.edge_set(other.triples.rows()).rows().tolist() == [[0, 0, 1]]
+
+
+def test_graphs_of_equal_sizes_keep_their_edge_sets_apart(tmp_path):
+    # both key spaces are one relation and two vertices; only the names differ
+    a = from_named_triples([("x", "LiveIn", "y")], {"LiveIn": ATTR})
+    b = from_named_triples([("p", "LiveIn", "q")], {"LiveIn": ATTR})
+    for op in (operator.and_, operator.sub, operator.le, operator.eq):
+        with pytest.raises(TypeError, match=re.escape("EdgeSet of %s against %s: "
+                                                      % (vocabulary(a), vocabulary(b)))):
+            op(a.triples, b.triples)
+    for refused in (lambda: a.edge_set(b.triples), lambda: a.mark_private(b.triples),
+                    lambda: a.with_triples(b.triples),
+                    lambda: write_triples(tmp_path / "t.tsv", a, b.triples)):
+        with pytest.raises(GraphError, match=re.escape("edge set of %s is not of this graph's %s"
+                                                       % (vocabulary(b), vocabulary(a)))):
+            refused()
+    assert not (tmp_path / "t.tsv").exists()
+    # equal tables are one vocabulary, whether shared by views or loaded twice
+    again = from_named_triples([("x", "LiveIn", "y")], {"LiveIn": ATTR})
+    assert a.triples == again.triples and a.mark_private(again.triples).private == a.triples
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.text(max_size=3), st.sampled_from([REL, ATTR])), max_size=6,
+                unique_by=lambda r: r[0]))
+def test_a_relation_id_is_its_position(pairs):
+    g = KnowledgeGraph(["x"], [Relation(name, kind) for name, kind in pairs], ())
+    for i, (name, kind) in enumerate(pairs):
+        assert g.relation_id(g.relation_name(i)) == i and g.relation_id(name) == i
+        assert g.relations[i] == Relation(name, kind)
 
 
 @settings(max_examples=60, deadline=None)

@@ -18,7 +18,7 @@ SRC = ROOT / "src" / "privkg"
 # public names the program itself does not read, each kept for a stated reason
 UNREAD_PUBLIC_ALLOWED = {
     "calibrate_noise_sigma": "the noise calibration of acceptance criterion 6",
-    "validation_subset": "the validation answers, for early stopping (ROADMAP item 4)",
+    "validation_subset": "the validation answers, for early stopping (ROADMAP item 8)",
 }
 
 
