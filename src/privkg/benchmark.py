@@ -1,9 +1,9 @@
 """Benchmark construction: private-edge sampling, the 8:1:1 cumulative edge
-split, template-based query sampling by backward random walks, and flat-file
-emission.
+split, query sampling by one backward walk along each template's shape in
+``queries.TEMPLATES``, and flat-file emission.
 
-All sampling is seeded and deterministic; per-template samplers derive an
-independent generator from (seed, template).
+The one-hop branches of an intersection or a union are distinct edges, drawn
+together. Sampling is seeded; each template has its own generator.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ import numpy as np
 
 from .graph import (BACKWARD, FORWARD, EdgeSet, GraphError, GraphSplit, KnowledgeGraph,
                     check_fields, read_tsv)
-from .queries import (QUERY_TYPES, Anchor, Intersection, Projection, QueryError, QueryNode,
-                      Union, classify_type, parse_query, serialize)
-from .symbolic import RELAXED, TaggedAnswerSet, evaluate, evaluate_tagged
+from .queries import (QUERY_TYPES, TEMPLATES, Anchor, Intersection, Projection, QueryError,
+                      QueryNode, Union, classify_type, parse_query, serialize)
+from .symbolic import RELAXED, STRICT, TaggedAnswerSet, evaluate, evaluate_tagged
 
 RETRY_BUDGET = 100
 
@@ -85,57 +85,40 @@ def _step_choices(g: KnowledgeGraph, v: int):
                   [(BACKWARD, r, x) for r in rels for x in g.neighbors(v, r, FORWARD)])
 
 
-def _sample_chain(g, v, length, rng):
-    """Projection chain of the given length whose answers include v."""
-    steps = []
-    current = v
-    for _ in range(length):
-        choices = _step_choices(g, current)
+# the shape each template is sampled from: pi's first, chain-first shape wins
+_SHAPES = {name: shape for shape, name in reversed(TEMPLATES.items())}
+
+
+def _sample_shape(g, shape, v, rng):
+    """A query of ``shape`` whose answers include v, by a backward walk from v;
+    None at a vertex with too few edges. An intersection or union walks its
+    other children first, then draws its one-hop children as distinct edges."""
+    if shape == "a":
+        return Anchor(v)
+    choices = _step_choices(g, v)
+    if shape[0] == "p":
         if not choices:
             return None
-        direction, rel, current = rng.choice(choices)
-        steps.append((direction, rel))
-    node = Anchor(current)
-    for direction, rel in reversed(steps):
-        node = Projection(rel, direction, node)
-    return node
-
-
-def _sample_branches(g, v, count, rng):
-    """Distinct 1p branches all answering v."""
-    choices = _step_choices(g, v)
-    if len(choices) < count:
+        direction, rel, u = rng.choice(choices)
+        child = _sample_shape(g, shape[1], u, rng)
+        return None if child is None else Projection(rel, direction, child)
+    walked = [_sample_shape(g, s, v, rng) for s in shape[1:] if s != ("p", "a")]
+    hops = len(shape) - 1 - len(walked)
+    if len(choices) < hops:
         return None
-    picked = rng.sample(choices, count)
-    return tuple(Projection(rel, direction, Anchor(u)) for direction, rel, u in picked)
+    picked = iter([Projection(rel, d, Anchor(u)) for d, rel, u in rng.sample(choices, hops)])
+    if None in walked:
+        return None
+    walked = iter(walked)
+    children = tuple(next(picked if s == ("p", "a") else walked) for s in shape[1:])
+    return (Intersection if shape[0] == "i" else Union)(children)
 
 
 def _sample_template(g, qtype, rng, vertices):
     """One attempt; ``vertices`` is ``g.incident_vertices()``."""
     if not vertices:
         return None
-    v = rng.choice(vertices)
-    if qtype in ("1p", "2p"):
-        return _sample_chain(g, v, 1 if qtype == "1p" else 2, rng)
-    if qtype in ("2i", "3i", "2u"):
-        branches = _sample_branches(g, v, 3 if qtype == "3i" else 2, rng)
-        return (Union if qtype == "2u" else Intersection)(branches) if branches else None
-    if qtype == "pi":
-        two = _sample_chain(g, v, 2, rng)
-        one = _sample_branches(g, v, 1, rng)
-        if two is None or one is None:
-            return None
-        return Intersection((two, one[0]))
-    if qtype in ("ip", "up"):
-        choices = _step_choices(g, v)
-        if not choices:
-            return None
-        direction, rel, mid = rng.choice(choices)
-        branches = _sample_branches(g, mid, 2, rng)
-        if branches is None:
-            return None
-        return Projection(rel, direction, (Union if qtype == "up" else Intersection)(branches))
-    raise BenchmarkError("unknown query type %r" % qtype)
+    return _sample_shape(g, _SHAPES[qtype], rng.choice(vertices), rng)
 
 
 def sample_queries(split: GraphSplit, qtype: str, n: int, seed: int,
@@ -150,6 +133,8 @@ def sample_queries(split: GraphSplit, qtype: str, n: int, seed: int,
         raise BenchmarkError("unknown query type %r" % qtype)
     if n < 0:
         raise BenchmarkError("requested %d queries; n must be non-negative" % n)
+    if mode not in (RELAXED, STRICT):
+        raise BenchmarkError("mode must be relaxed or strict, got %r" % (mode,))
     # string seeds hash via sha512, stable across interpreter runs
     rng = random.Random("%d:%s" % (seed, qtype))
     out: list[BenchmarkQuery] = []

@@ -39,7 +39,10 @@ def rank(scores: np.ndarray, target: int, filter_out=frozenset()) -> int:
         raise EvalError("non-finite scores")
     # every vertex scoring >= the target, itself included, minus the filtered ones
     s = scores[target]
-    filtered = scores[np.fromiter(filter_out, dtype=np.intp, count=len(filter_out))]
+    ids = np.fromiter(filter_out, dtype=np.intp, count=len(filter_out))
+    if ids.size and ids.view(np.uintp).max() >= scores.size:  # unsigned, -1 is out of range
+        raise EvalError("filter id %d not scored" % ids[(ids < 0) | (ids >= scores.size)][0])
+    filtered = scores[ids]
     return int(np.count_nonzero(scores >= s) - np.count_nonzero(filtered >= s))
 
 

@@ -4,14 +4,16 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privkg.benchmark import (BenchmarkError, BenchmarkQuery, _names, format_stats, query_line,
-                              read_benchmark, sample_private_edges, sample_queries, split_edges,
-                              training_subset, validation_subset, write_benchmark)
+from privkg import benchmark
+from privkg.benchmark import (BenchmarkError, BenchmarkQuery, _names, _sample_shape, format_stats,
+                              query_line, read_benchmark, sample_private_edges, sample_queries,
+                              split_edges, training_subset, validation_subset, write_benchmark)
 from privkg.graph import FORWARD, EdgeSet, GraphError, load_triples, write_triples
 from privkg.queries import (QUERY_TYPES, Anchor, Projection, QueryError, classify_type, shape,
                             to_dnf)
 from privkg.symbolic import TaggedAnswerSet, evaluate, evaluate_tagged
 from privkg.synthetic import make_synthetic_kg
+from . import _sampler_reference
 from ._named_triples import from_named_triples
 from .conftest import random_graph
 
@@ -97,6 +99,16 @@ def test_sample_queries_unknown_type(split):
         sample_queries(split, "9p", 1, seed=0)
 
 
+def test_sample_queries_unknown_mode_is_refused_before_any_draw(split, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("sampled a query before the mode was checked")
+
+    monkeypatch.setattr(benchmark, "_sample_template", no_draw)
+    for n in (0, 2):
+        with pytest.raises(BenchmarkError, match="mode must be relaxed or strict, got 'bogus'"):
+            sample_queries(split, "1p", n, seed=0, mode="bogus")
+
+
 @pytest.mark.parametrize("qtype", QUERY_TYPES)
 def test_sampled_queries_revalidate(split, qtype):
     queries = sample_queries(split, qtype, 20, seed=3)
@@ -127,6 +139,83 @@ def test_sample_queries_deterministic(split):
     a = sample_queries(split, "2i", 10, seed=4)
     b = sample_queries(split, "2i", 10, seed=4)
     assert [bq.query for bq in a] == [bq.query for bq in b]
+
+
+# (graph, private edges, seed of both samples): this module's ``split``, the
+# acceptance-sweep graph, then sparse graphs where walks reach vertices without
+# enough edges and a template's retry budget can run out
+SAMPLER_SPLITS = [((80, 4, 4, 2, 4, 1, 5), 20, 5), ((230, 6, 6, 3, 4, 1, 7), 100, 1),
+                  ((30, 6, 2, 1, 2, 1, 4), 8, 1), ((20, 4, 1, 1, 1, 1, 9), 5, 1)]
+SAMPLER_SPLIT_IDS = ["%d_entities" % args[0] for args, _, _ in SAMPLER_SPLITS]
+
+
+def _sample_or_error(split, qtype, n, seed):
+    try:
+        return sample_queries(split, qtype, n, seed)
+    except BenchmarkError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("args, n_private, split_seed", SAMPLER_SPLITS, ids=SAMPLER_SPLIT_IDS)
+def test_sampler_draws_what_the_per_family_reference_draws(args, n_private, split_seed,
+                                                           monkeypatch):
+    g = make_synthetic_kg(*args)
+    split = split_edges(g, sample_private_edges(g, n_private, split_seed), split_seed)
+    vertices = split.test.incident_vertices()
+    sparse, too_many = args[0] <= 30, 2 * len(split.test.triples) + 1
+    failed = 0
+    for qtype in QUERY_TYPES:
+        for seed in range(3):
+            # attempt by attempt: the same query or None, and the same generator state
+            new, old = random.Random(seed), random.Random(seed)
+            for _ in range(60):
+                q = benchmark._sample_template(split.test, qtype, new, vertices)
+                assert q == _sampler_reference._sample_template(split.test, qtype, old, vertices)
+                assert new.getstate() == old.getstate()
+                failed += q is None
+            # whole samples; on a sparse graph also more queries than it holds
+            # 1p queries (at most two per edge), so at least 1p's retry budget runs out
+            for n in (15, too_many) if sparse else (40,):
+                shipped = _sample_or_error(split, qtype, n, seed)
+                with monkeypatch.context() as m:
+                    m.setattr(benchmark, "_sample_template", _sampler_reference._sample_template)
+                    assert _sample_or_error(split, qtype, n, seed) == shipped
+                if qtype == "1p" and n == too_many:
+                    assert "exhausted retry budget" in shipped
+    assert failed or not sparse  # the sparse graphs reach the walks' dead ends
+
+
+def _shapes(depth):
+    """Query shapes of at most ``depth`` operator levels; i and u take 2 or 3 children."""
+    if depth == 0:
+        return st.just("a")
+    sub = _shapes(depth - 1)
+    return st.one_of(st.just("a"), st.tuples(st.just("p"), sub),
+                     st.builds(lambda op, kids: (op, *kids), st.sampled_from("iu"),
+                               st.lists(sub, min_size=2, max_size=3)))
+
+
+WALK_GRAPH = make_synthetic_kg(30, 6, 2, 1, 2, 1, 4)
+
+
+def _one_hop_children_distinct(q) -> bool:
+    if isinstance(q, Anchor):
+        return True
+    if isinstance(q, Projection):
+        return _one_hop_children_distinct(q.child)
+    one_hop = [c for c in q.children if shape(c) == ("p", "a")]
+    return len(set(one_hop)) == len(one_hop) and all(map(_one_hop_children_distinct, q.children))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shapes(3), st.integers(0, 2 ** 32), st.data())
+def test_walk_answers_its_vertex_with_any_shape(want, seed, data):
+    v = data.draw(st.sampled_from(WALK_GRAPH.incident_vertices()))
+    q = _sample_shape(WALK_GRAPH, want, v, random.Random(seed))
+    if q is not None:
+        assert shape(q) == want
+        assert v in evaluate(WALK_GRAPH, q)
+        assert _one_hop_children_distinct(q)
 
 
 def test_validation_subset_filter(split):

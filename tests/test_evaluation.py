@@ -41,6 +41,17 @@ def test_rank_errors():
         rank(np.zeros(3), 1, frozenset({1}))
 
 
+@pytest.mark.parametrize("bad", [-1, 3, -4])
+def test_rank_refuses_a_filter_id_out_of_range(bad):
+    # -1 would index vertex 2 and filter it without a word; 3 is past the end
+    scores = np.array([0.1, 0.5, 0.9])
+    assert rank(scores, 0, {1, 2}) == 1
+    with pytest.raises(EvalError, match="filter id %d not scored" % bad):
+        rank(scores, 0, {bad})
+    with pytest.raises(EvalError, match="filter id %d not scored" % bad):
+        rank(scores, 0, {1, bad, 2})
+
+
 def test_rank_rejects_non_finite_scores():
     with pytest.raises(EvalError, match="non-finite"):
         rank(np.array([0.1, np.nan, 0.3]), 1)  # a NaN target
