@@ -186,9 +186,13 @@ def stack(parts, axis=0) -> Tensor:
 
 
 def rows(table, index) -> Tensor:
-    """Gather rows of a 2-d table; backward scatter-adds."""
+    """Gather rows of a 2-d table, refusing an id outside it; backward scatter-adds."""
     table = tensor(table)
     index = np.asarray(index, dtype=np.intp)
+    n = table.shape[0]
+    if index.size and index.view(np.uintp).max() >= n:  # unsigned, -1 is out of range
+        raise AutodiffError("row id %d outside a table of %d rows"
+                            % (index[(index < 0) | (index >= n)][0], n))
     out = Tensor(table.data[index], (table,))
 
     def back(g):

@@ -16,9 +16,9 @@ import numpy as np
 
 from .graph import (BACKWARD, FORWARD, EdgeSet, GraphError, GraphSplit, KnowledgeGraph,
                     check_fields, read_tsv)
-from .queries import (QUERY_TYPES, TEMPLATES, Anchor, Intersection, Projection, QueryError,
-                      QueryNode, Union, classify_type, parse_query, serialize)
-from .symbolic import RELAXED, STRICT, TaggedAnswerSet, evaluate, evaluate_tagged
+from .queries import (OTHER, QUERY_TYPES, TEMPLATES, Anchor, Intersection, Projection,
+                      QueryError, QueryNode, Union, classify_type, parse_query, serialize)
+from .symbolic import MODES, RELAXED, TaggedAnswerSet, evaluate, evaluate_tagged
 
 RETRY_BUDGET = 100
 
@@ -133,8 +133,8 @@ def sample_queries(split: GraphSplit, qtype: str, n: int, seed: int,
         raise BenchmarkError("unknown query type %r" % qtype)
     if n < 0:
         raise BenchmarkError("requested %d queries; n must be non-negative" % n)
-    if mode not in (RELAXED, STRICT):
-        raise BenchmarkError("mode must be relaxed or strict, got %r" % (mode,))
+    if mode not in MODES:
+        raise BenchmarkError("mode must be %s, got %r" % (" or ".join(MODES), mode))
     # string seeds hash via sha512, stable across interpreter runs
     rng = random.Random("%d:%s" % (seed, qtype))
     out: list[BenchmarkQuery] = []
@@ -165,17 +165,18 @@ def sample_queries(split: GraphSplit, qtype: str, n: int, seed: int,
 
 
 def format_stats(queries: list[BenchmarkQuery]) -> str:
-    """The stats.tsv table: per query type and over all queries, the number of
-    queries and of their public and private test answers."""
+    """The stats.tsv table: per query type (``OTHER`` last, if present) and over all
+    queries, the number of queries and of their public and private test answers."""
     counts = defaultdict(lambda: [0, 0, 0])
     for bq in queries:
         c = counts[bq.qtype]
         c[0] += 1
         c[1] += len(bq.test_answers.public_members)
         c[2] += len(bq.test_answers.private_members)
-    lines = ["\t".join(["Answers", *QUERY_TYPES, "All"])]
+    types = QUERY_TYPES + ((OTHER,) if OTHER in counts else ())
+    lines = ["\t".join(["Answers", *types, "All"])]
     for i, label in enumerate(("Queries", "Public", "Private")):
-        row = [counts[t][i] for t in QUERY_TYPES] + [sum(c[i] for c in counts.values())]
+        row = [counts[t][i] for t in types] + [sum(c[i] for c in counts.values())]
         lines.append("\t".join([label, *map(str, row)]))
     return "\n".join(lines) + "\n"
 

@@ -23,8 +23,8 @@ from .encoders import DEFAULT_DIM, DEFAULT_PARTICLES, ENCODERS, load_encoder, ma
 from .evaluation import evaluate_model
 from .graph import load_schema, load_triple_set, load_triples, read_tsv, write_triples
 from .queries import QUERY_TYPES, parse_query
-from .symbolic import RELAXED, STRICT, evaluate_tagged
-from .training import BOTH, REVERSE_ONLY, NoiseConfig, TrainConfig, train
+from .symbolic import MODES, RELAXED, evaluate_tagged
+from .training import PRIVACY_DIRECTIONS, NoiseConfig, TrainConfig, train
 
 
 def _digest(path) -> str:
@@ -225,11 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
                 private_required=True)
     p.add_argument("--qtype", default="all", choices=("all",) + QUERY_TYPES)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mode", default=RELAXED, choices=(RELAXED, STRICT))
+    p.add_argument("--mode", default=RELAXED, choices=MODES)
 
     p = command("train", cmd_train, "train an encoder", private_required=True)
     p.add_argument("--benchmark", required=True, help="directory of queries-*.tsv")
-    p.add_argument("--model", required=True, choices=tuple(ENCODERS))
+    p.add_argument("--model", required=True, choices=ENCODERS)
     defaults = TrainConfig()
     p.add_argument("--beta", type=float, default=defaults.beta)
     p.add_argument("--lr", type=float, default=defaults.lr)
@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=DEFAULT_DIM)
     p.add_argument("--particles", type=int, default=DEFAULT_PARTICLES)
     p.add_argument("--privacy-direction", default=defaults.privacy_direction,
-                   choices=(REVERSE_ONLY, BOTH))
+                   choices=PRIVACY_DIRECTIONS)
 
     p = command("eval", cmd_eval, "evaluate a checkpoint", private_required=True)
     p.add_argument("--benchmark", required=True)
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("audit", cmd_audit, "tag the answers of one query", seed=False, out=False)
     p.add_argument("--query", required=True, help="query s-expression")
-    p.add_argument("--mode", default=RELAXED, choices=(RELAXED, STRICT))
+    p.add_argument("--mode", default=RELAXED, choices=MODES)
 
     p = command("report", cmd_report, "merge eval reports with baseline ratios",
                 graph=False, seed=False)

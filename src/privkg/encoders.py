@@ -53,7 +53,7 @@ def _xavier(rng, fan_in, fan_out):
 
 
 class Encoder:
-    kind = "base"
+    """Each subclass names its ``kind``: its key in ``ENCODERS`` and in checkpoints."""
 
     def __init__(self, graph: KnowledgeGraph, dim: int = DEFAULT_DIM, seed: int = 0,
                  n_particles: int = DEFAULT_PARTICLES):
@@ -362,13 +362,11 @@ class Q2PEncoder(Encoder):
         return -ad.reduce_min(ad.reshape(dists, (b, m, -1)), axis=1)  # max over particles
 
 
-ENCODERS = {"gqe": GQEEncoder, "q2b": Q2BEncoder, "q2p": Q2PEncoder}
+ENCODERS = {cls.kind: cls for cls in (GQEEncoder, Q2BEncoder, Q2PEncoder)}
 
 
 def make_encoder(kind: str, graph: KnowledgeGraph, dim: int = DEFAULT_DIM, seed: int = 0,
                  n_particles: int = DEFAULT_PARTICLES) -> Encoder:
-    try:
-        cls = ENCODERS[kind]
-    except KeyError:
-        raise EncoderError("unknown encoder kind %r (expected gqe, q2b, or q2p)" % kind) from None
-    return cls(graph, dim=dim, seed=seed, n_particles=n_particles)
+    if kind not in ENCODERS:
+        raise EncoderError("unknown encoder kind %r (expected %s)" % (kind, " or ".join(ENCODERS)))
+    return ENCODERS[kind](graph, dim=dim, seed=seed, n_particles=n_particles)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .benchmark import BenchmarkQuery
 from .encoders import Encoder
-from .queries import QUERY_TYPES
+from .queries import OTHER, QUERY_TYPES
 from .training import NoiseConfig, noisy_scores_all
 
 CLASSES = ("public", "private")
@@ -78,10 +78,10 @@ class EvalReport:
         return metrics(pooled) if pooled else None
 
     def to_tsv(self) -> str:
-        """One row per (query type, class) with ranks, in template order, then
-        one pooled "All" row per class."""
+        """One row per (query type, class) with ranks, in template order and
+        ``OTHER`` last, then one pooled "All" row per class."""
         rows = [(qt, cls, metrics(self.ranks[qt, cls]))
-                for cls in CLASSES for qt in QUERY_TYPES if (qt, cls) in self.ranks]
+                for cls in CLASSES for qt in QUERY_TYPES + (OTHER,) if (qt, cls) in self.ranks]
         rows += [("All", cls, self.overall(cls)) for cls in CLASSES]
         return "type\tclass\tHR@1\tHR@3\tHR@10\tMRR\tcount" + "".join(
             "\n%s\t%s\t%.4f\t%.4f\t%.4f\t%.4f\t%d" % (qt, cls, m.hr1, m.hr3, m.hr10, m.mrr, m.count)

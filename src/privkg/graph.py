@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -26,6 +26,9 @@ FORWARD = "forward"
 BACKWARD = "backward"
 FULL = "full"
 PUBLIC = "public"
+KINDS = (REL, ATTR)  # each closed set once, read by every check
+DIRECTIONS = (FORWARD, BACKWARD)
+VIEWS = (FULL, PUBLIC)
 
 
 class GraphError(Exception):
@@ -35,7 +38,7 @@ class GraphError(Exception):
 @dataclass(frozen=True)
 class Relation:
     name: str
-    kind: str  # REL or ATTR
+    kind: str  # one of KINDS
 
 
 class Triple(NamedTuple):
@@ -118,8 +121,9 @@ class KnowledgeGraph:
             raise GraphError("duplicate vertex name")
         if len(self._rid) != len(self.relations):
             raise GraphError("duplicate relation name")
-        if bad := [astuple(r) for r in self.relations if r.kind not in (REL, ATTR)]:
-            raise GraphError("relation %r: kind must be rel or attr, got %r" % bad[0])
+        if bad := [r for r in self.relations if r.kind not in KINDS]:
+            raise GraphError("relation %r: kind must be %s, got %r"
+                             % (bad[0].name, " or ".join(KINDS), bad[0].kind))
         self._space = (self.relations, self.vertex_names)
         self._is_attr = np.array([r.kind == ATTR for r in self.relations], dtype=bool)
         self.triples: EdgeSet = self.edge_set(triples)
@@ -174,9 +178,13 @@ class KnowledgeGraph:
             raise GraphError("unknown relation %r" % name) from None
 
     def vertex_name(self, vid: int) -> str:
+        if not 0 <= vid < len(self.vertex_names):
+            raise GraphError("unknown vertex id %d" % vid)
         return self.vertex_names[vid]
 
     def relation_name(self, rid: int) -> str:
+        if not 0 <= rid < len(self.relations):
+            raise GraphError("unknown relation id %d" % rid)
         return self.relations[rid].name
 
     def neighbors(self, v: int, r: int, direction: str = FORWARD, view: str = FULL) -> frozenset[int]:
@@ -188,14 +196,11 @@ class KnowledgeGraph:
         result = self._lookups.get(key)
         if result is not None:
             return result
-        if not 0 <= v < len(self.vertex_names):
-            raise GraphError("unknown vertex id %d" % v)
-        if not 0 <= r < len(self.relations):
-            raise GraphError("unknown relation id %d" % r)
-        if direction not in (FORWARD, BACKWARD):
-            raise GraphError("direction must be forward or backward, got %r" % direction)
-        if view not in (FULL, PUBLIC):
-            raise GraphError("view must be full or public, got %r" % view)
+        self.vertex_name(v), self.relation_name(r)  # each refuses an id outside its table
+        if direction not in DIRECTIONS:
+            raise GraphError("direction must be %s, got %r" % (" or ".join(DIRECTIONS), direction))
+        if view not in VIEWS:
+            raise GraphError("view must be %s, got %r" % (" or ".join(VIEWS), view))
         indptr, targets = self._index(direction, view == PUBLIC and bool(self.private))
         k = v * len(self.relations) + r
         result = self._lookups[key] = frozenset(targets[indptr[k]:indptr[k + 1]].tolist())
@@ -219,7 +224,7 @@ class KnowledgeGraph:
         """Sorted ids of the vertices that have at least one triple, read off the
         full-view indices: every R-th ``indptr`` entry starts a vertex's keys."""
         step = max(len(self.relations), 1)
-        fwd, bwd = (np.diff(self._index(d, False)[0][::step]) for d in (FORWARD, BACKWARD))
+        fwd, bwd = (np.diff(self._index(d, False)[0][::step]) for d in DIRECTIONS)
         return np.flatnonzero(fwd + bwd).tolist()
 
     def attribute_triples(self) -> EdgeSet:
@@ -289,8 +294,9 @@ def load_schema(path) -> dict[str, str]:
     fields, linenos = read_tsv(path, 2, "schema", linenos=True)
     first: dict[str, int] = {}
     for lineno, name, kind in zip(linenos, fields[0::2], fields[1::2]):
-        if kind not in (REL, ATTR):
-            raise GraphError("schema line %d: kind must be rel or attr, got %r" % (lineno, kind))
+        if kind not in KINDS:
+            raise GraphError("schema line %d: kind must be %s, got %r"
+                             % (lineno, " or ".join(KINDS), kind))
         if first.setdefault(name, lineno) != lineno:
             raise GraphError("schema lines %d and %d: relation %r listed twice"
                              % (first[name], lineno, name))

@@ -7,7 +7,8 @@ Grammar:
     (i EXPR EXPR ...)   intersection, arity >= 2
     (u EXPR EXPR ...)   union, arity >= 2
 
-Negation is not part of the fragment and is rejected at parse time.
+Negation is not part of the fragment and is rejected at parse time, and a
+projection of a direction outside ``graph.DIRECTIONS`` when it is built.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import re
 from dataclasses import dataclass
 from typing import Union as TyUnion
 
-from .graph import BACKWARD, FORWARD, GraphError, KnowledgeGraph
+from .graph import BACKWARD, DIRECTIONS, FORWARD, GraphError, KnowledgeGraph
 
 
 class QueryError(Exception):
@@ -48,6 +49,11 @@ class Projection(_Node):
     rel: int
     direction: str
     child: "QueryNode"
+
+    def __post_init__(self):
+        if self.direction not in DIRECTIONS:
+            raise QueryError("direction must be %s, got %r"
+                             % (" or ".join(DIRECTIONS), self.direction))
 
 
 @dataclass(frozen=True)
@@ -203,8 +209,9 @@ TEMPLATES = {
 }
 
 QUERY_TYPES = tuple(dict.fromkeys(TEMPLATES.values()))
+OTHER = "other"  # the type of a query that instantiates no template
 
 
 def classify_type(q: QueryNode) -> str:
-    """The benchmark template ``q`` instantiates, else "other"."""
-    return TEMPLATES.get(shape(q), "other")
+    """The benchmark template ``q`` instantiates, else ``OTHER``."""
+    return TEMPLATES.get(shape(q), OTHER)

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import FULL, PUBLIC, KnowledgeGraph
+from .graph import FULL, KnowledgeGraph, PUBLIC
 from .queries import Anchor, Intersection, Projection, QueryNode, Union
 
 RELAXED = "relaxed"
 STRICT = "strict"
+MODES = (RELAXED, STRICT)  # the answer modes, read by every check of a mode
 
 _EMPTY = frozenset()
 
@@ -56,8 +57,8 @@ def evaluate_tagged(g: KnowledgeGraph, q: QueryNode, mode: str = RELAXED) -> Tag
     Union: public = union of children's public sets. Private is always the
     rest of the full answer set.
     """
-    if mode not in (RELAXED, STRICT):
-        raise EvalError("mode must be relaxed or strict, got %r" % mode)
+    if mode not in MODES:
+        raise EvalError("mode must be %s, got %r" % (" or ".join(MODES), mode))
     full, priv = _walk(g, q, mode)
     return TaggedAnswerSet(public_members=full - priv, private_members=priv)
 

@@ -23,10 +23,17 @@ from .queries import BACKWARD, FORWARD
 
 REVERSE_ONLY = "reverse-only"
 BOTH = "both"
+PRIVACY_DIRECTIONS = (REVERSE_ONLY, BOTH)  # TrainConfig and total_loss refuse others
 
 
 class TrainError(Exception):
     pass
+
+
+def _check_direction(direction) -> None:
+    if direction not in PRIVACY_DIRECTIONS:
+        raise TrainError("privacy direction must be %s, got %r"
+                         % (" or ".join(map(repr, PRIVACY_DIRECTIONS)), direction))
 
 
 @dataclass
@@ -49,8 +56,7 @@ class TrainConfig:
             raise TrainError("epochs and batch_size must be >= 1")
         if self.private_batch < 0 or self.candidate_sample < 0:
             raise TrainError("private_batch and candidate_sample must be non-negative")
-        if self.privacy_direction not in (REVERSE_ONLY, BOTH):
-            raise TrainError("privacy direction must be %r or %r" % (REVERSE_ONLY, BOTH))
+        _check_direction(self.privacy_direction)
 
 
 @dataclass
@@ -81,11 +87,12 @@ def total_loss(model: Encoder, batch, private_triples, beta: float,
     L_u is the mean negative log-probability over the batch's (query, public
     answer) pairs. L_p is the mean log-probability of the private targets
     under one-hop projections: each private attribute triple (u, a, x) gives
-    the backward term, the probability of u from x, and with direction "both"
+    the backward term, the probability of u from x, and with direction ``BOTH``
     also the forward term, the probability of x from u. Both segments come
     from one ``log_probabilities`` call; ``candidate_sample`` applies to the
     public queries only, and the privacy terms keep the full softmax.
     """
+    _check_direction(direction)
     if not batch or not all(a for _, a in batch):
         raise TrainError("empty batch, or a query in it without answers")
     queries, targets = [q for q, _ in batch], [sorted(a) for _, a in batch]

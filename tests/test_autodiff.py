@@ -137,6 +137,17 @@ def test_nonfinite_input_rejected():
         ad.tensor([1.0, float("nan")])
 
 
+@pytest.mark.parametrize("index, bad", [([-1], -1), ([3], 3), ([0, -4, 2], -4),
+                                        ([[0, 1], [2, 3]], 3)])
+def test_rows_refuses_an_id_outside_the_table(index, bad):
+    # a negative id must not wrap around to a row from the end
+    table = ad.Tensor(rand(3, 2), requires_grad=True)
+    with pytest.raises(ad.AutodiffError, match="row id %d outside a table of 3 rows" % bad):
+        ad.rows(table, index)
+    assert ad.rows(table, []).shape == (0, 2)
+    assert np.array_equal(ad.rows(table, [2, 0, 2]).data, table.data[[2, 0, 2]])
+
+
 # -- backward ------------------------------------------------------------------
 
 

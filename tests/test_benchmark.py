@@ -9,8 +9,8 @@ from privkg.benchmark import (BenchmarkError, BenchmarkQuery, _names, _sample_sh
                               query_line, read_benchmark, sample_private_edges, sample_queries,
                               split_edges, training_subset, validation_subset, write_benchmark)
 from privkg.graph import FORWARD, EdgeSet, GraphError, load_triples, write_triples
-from privkg.queries import (QUERY_TYPES, Anchor, Projection, QueryError, classify_type, shape,
-                            to_dnf)
+from privkg.queries import (OTHER, QUERY_TYPES, Anchor, Projection, QueryError, classify_type,
+                            shape, to_dnf)
 from privkg.symbolic import TaggedAnswerSet, evaluate, evaluate_tagged
 from privkg.synthetic import make_synthetic_kg
 from . import _sampler_reference
@@ -248,6 +248,22 @@ def test_stats_recount(split):
 
 def test_stats_empty():
     assert all(list(row.values()) == [0] * 9 for row in _stats_table([]).values())
+
+
+def test_stats_count_a_query_of_no_template_in_a_last_column(toy_graph, tmp_path):
+    # read_benchmark types a 3p query OTHER; the "All" column counts it, so it
+    # needs a column of its own
+    path = tmp_path / "queries.tsv"
+    path.write_text("(p LiveIn (a Hinton))\t\t\t\tToronto\n"
+                    "(p LiveIn (rp WinAward (p WinAward (a Hinton))))\t\t\tNYC,Montreal\tToronto\n",
+                    encoding="utf-8")
+    queries = read_benchmark(str(path), toy_graph)
+    assert [bq.qtype for bq in queries] == ["1p", OTHER]
+    header, *rows = [line.split("\t") for line in format_stats(queries).splitlines()]
+    zeros = ["0"] * (len(QUERY_TYPES) - 1)
+    assert header == ["Answers", *QUERY_TYPES, OTHER, "All"]
+    assert rows == [["Queries", "1", *zeros, "1", "2"], ["Public", "0", *zeros, "2", "2"],
+                    ["Private", "1", *zeros, "1", "2"]]
 
 
 def test_answer_names_refuse_what_the_reader_would_split():

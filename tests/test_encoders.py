@@ -477,6 +477,20 @@ def test_encoded_union_free_query_is_freed_by_reference_counting(models, toy_gra
         gc.enable()
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_an_anchor_or_relation_outside_its_table_is_refused(models, kind):
+    # Anchor(-1) must not score as the last vertex, nor relation -1 read another
+    # relation's row; relation r has rows 2r (forward) and 2r + 1 (backward)
+    m = models[kind]
+    nv, nr = m.graph.num_vertices(), len(m.graph.relations)
+    for q, row, size in ((Anchor(-1), -1, nv), (Anchor(nv), nv, nv),
+                         (Projection(-1, "forward", Anchor(0)), -2, 2 * nr),
+                         (Projection(nr, "backward", Anchor(0)), 2 * nr + 1, 2 * nr)):
+        with pytest.raises(ad.AutodiffError, match="row id %d outside a table of %d rows"
+                                                   % (row, size)):
+            m.log_probabilities([q], [[0]])
+
+
 def test_probability_errors(models):
     m = models["gqe"]
     q = parse_query("(p LiveIn (a Hinton))", m.graph)

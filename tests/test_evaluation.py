@@ -9,7 +9,7 @@ from privkg.cli import main
 from privkg.encoders import make_encoder
 from privkg.evaluation import (EvalError, EvalReport, calibrate_noise_sigma,
                                evaluate_model, metrics, query_targets, rank)
-from privkg.queries import parse_query
+from privkg.queries import OTHER, parse_query
 from privkg.symbolic import TaggedAnswerSet
 from privkg.training import NoiseConfig
 
@@ -219,6 +219,19 @@ def test_report_tsv_format(eval_setup):
         fields = line.split("\t")
         assert len(fields) == 7
         assert 0.0 <= float(fields[5]) <= 1.0
+
+
+def test_report_tsv_lists_a_query_of_no_template_last():
+    # read_benchmark types such a query OTHER; its ranks count in the "All"
+    # rows, so they need a row of their own
+    report = EvalReport(ranks={("other", "public"): [2], ("1p", "public"): [1],
+                               ("other", "private"): [1, 4], ("2p", "private"): [3]})
+    rows = [line.split("\t") for line in report.to_tsv().splitlines()[1:]]
+    assert [row[:2] for row in rows] == [["1p", "public"], [OTHER, "public"], ["2p", "private"],
+                                         [OTHER, "private"], ["All", "public"], ["All", "private"]]
+    for cls in ("public", "private"):
+        counts = [int(row[6]) for row in rows if row[1] == cls]
+        assert sum(counts[:-1]) == counts[-1]
 
 
 def test_report_tsv_baseline_column(eval_setup, tmp_path):

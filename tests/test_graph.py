@@ -12,6 +12,7 @@ from privkg.benchmark import sample_private_edges, split_edges
 from privkg.graph import (ATTR, REL, EdgeSet, GraphError, KnowledgeGraph, Relation, Triple,
                           load_schema, load_triples, load_triple_set, vocabulary_digests,
                           write_triples)
+from privkg.queries import Anchor, Projection, serialize
 from privkg.synthetic import make_synthetic_kg
 from ._named_triples import from_named_triples
 from .conftest import random_graph
@@ -145,6 +146,24 @@ def test_neighbors_refuse_an_unknown_view(toy_graph, view):
     live = toy_graph.relation_id("LiveIn")
     with pytest.raises(GraphError, match="view must be full or public, got %r" % view):
         toy_graph.neighbors(h, live, "forward", view)
+
+
+def test_an_id_outside_its_table_has_no_name(toy_graph):
+    # a negative id must not wrap around to the last name, or serialize writes a
+    # query of ids that no table holds
+    nv, nr = toy_graph.num_vertices(), len(toy_graph.relations)
+    for vid in (-1, -nv, nv):
+        with pytest.raises(GraphError, match="unknown vertex id %d" % vid):
+            toy_graph.vertex_name(vid)
+        with pytest.raises(GraphError, match="unknown vertex id %d" % vid):
+            serialize(Anchor(vid), toy_graph)
+    for rid in (-1, -nr, nr):
+        with pytest.raises(GraphError, match="unknown relation id %d" % rid):
+            toy_graph.relation_name(rid)
+        with pytest.raises(GraphError, match="unknown relation id %d" % rid):
+            serialize(Projection(rid, "forward", Anchor(0)), toy_graph)
+    assert toy_graph.vertex_name(nv - 1) == toy_graph.vertex_names[-1]
+    assert toy_graph.relation_name(nr - 1) == toy_graph.relations[-1].name
 
 
 def test_neighbors_no_incident_triples(toy_graph):

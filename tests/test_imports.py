@@ -2,15 +2,21 @@
 every private name it defines at module level and every private attribute
 it stores. Every public top-level function and class has a reader in the
 program (``src/privkg``, ``perfbench/`` or ``scripts/``) unless it is on an
-allowlist with a reason."""
+allowlist with a reason. Every closed set of choices is named once, in its
+owning module, and every check and CLI choice reads that name."""
 
+import argparse
 import ast
 import pathlib
 import typing
 
 import pytest
 
-from privkg.queries import QueryNode
+from privkg.cli import build_parser
+from privkg.encoders import ENCODERS
+from privkg.queries import QUERY_TYPES, QueryNode
+from privkg.symbolic import MODES
+from privkg.training import PRIVACY_DIRECTIONS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "privkg"
@@ -97,6 +103,26 @@ def unread_public_names(modules: dict, readers=()) -> list[str]:
             if not any(stmt.name in loads for other, loads in reads if other is not stmt)]
 
 
+def restated_sets(source: str) -> list[str]:
+    """``in``/``not in`` comparisons and ``choices=`` arguments against a tuple,
+    list or set display of two or more names: each restates a set that its owning
+    module names once. A display of literals, like ``("a", "p", "rp")``, is allowed."""
+    def restated(node):
+        return (isinstance(node, (ast.Tuple, ast.List, ast.Set))
+                and sum(isinstance(e, (ast.Name, ast.Attribute)) for e in node.elts) >= 2)
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            sets = [c for op, c in zip(node.ops, node.comparators)
+                    if isinstance(op, (ast.In, ast.NotIn))]
+        elif isinstance(node, ast.keyword) and node.arg == "choices":
+            sets = [node.value]
+        else:
+            continue
+        found += [(s.lineno, ast.unparse(s)) for s in sets if restated(s)]
+    return ["line %d: %s" % item for item in sorted(found)]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -110,6 +136,22 @@ def test_no_unread_private_names(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unread_private_attributes(path):
     assert unread_private_attributes(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_closed_set_is_restated(path):
+    assert restated_sets(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_cli_choice_is_the_library_set():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = {(command, a.dest): a.choices for command, p in sub.choices.items()
+               for a in p._actions if a.choices is not None}
+    assert choices.pop(("sample-queries", "qtype")) == ("all",) + QUERY_TYPES
+    library = {("sample-queries", "mode"): MODES, ("audit", "mode"): MODES,
+               ("train", "model"): ENCODERS, ("train", "privacy_direction"): PRIVACY_DIRECTIONS}
+    assert choices.keys() == library.keys()
+    assert all(choices[key] is library[key] for key in library)
 
 
 def test_every_public_name_has_a_reader():
@@ -178,6 +220,17 @@ def test_guard_flags_an_unread_private_attribute():
               "    def f(self, other):\n"
               "        other._b += 1\n        return self._a\n")
     assert unread_private_attributes(source) == ["line 4: _b", "line 7: _e"]
+
+
+def test_guard_flags_a_restated_set():
+    source = ("if mode not in (RELAXED, STRICT):\n    pass\n"
+              "ok = x in MODES or y in ('a', 'p', 'rp') or z in (A,) or w in (')', None)\n"
+              "p.add_argument('--m', choices=[m.A, m.B])\n"
+              "p.add_argument('--n', choices=MODES)\n"
+              "found = a == b in {C, D}\n"
+              "for d in (FORWARD, BACKWARD):\n    pass\n")
+    assert restated_sets(source) == ["line 1: (RELAXED, STRICT)", "line 4: [m.A, m.B]",
+                                     "line 6: {C, D}"]
 
 
 def test_guard_flags_an_unread_public_name():

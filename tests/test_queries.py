@@ -4,8 +4,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from privkg.queries import (_TOKEN, FORWARD, QUERY_TYPES, TEMPLATES, Anchor, Intersection,
-                            Projection, QueryError, Union, classify_type,
+from privkg.encoders import make_encoder
+from privkg.queries import (_TOKEN, FORWARD, OTHER, QUERY_TYPES, TEMPLATES, Anchor,
+                            Intersection, Projection, QueryError, Union, classify_type,
                             parse_query, serialize, shape, to_dnf)
 from privkg.symbolic import evaluate
 from ._named_triples import from_named_triples
@@ -97,6 +98,21 @@ def test_serialize_refuses_names_that_would_not_read_back():
     empty = from_named_triples([("", "LiveIn", "B")], {"LiveIn": "attr"})
     with pytest.raises(QueryError, match="''"):
         serialize(Anchor(empty.vertex_id("")), empty)
+
+
+@pytest.mark.parametrize("reader", ["gqe", "q2b", "q2p", "serialize", "evaluate"])
+@pytest.mark.parametrize("direction", ["bogus", "Forward", "", None])
+def test_no_reader_sees_a_projection_of_an_unknown_direction(toy_graph, reader, direction):
+    # the readers trust the direction: the encoders read any but "backward" as
+    # forward and serialize writes any but "forward" as rp
+    if reader in ("serialize", "evaluate"):
+        read = {"serialize": lambda q: serialize(q, toy_graph),
+                "evaluate": lambda q: evaluate(toy_graph, q)}[reader]
+    else:
+        read = make_encoder(reader, toy_graph, dim=4, n_particles=2).encode
+    with pytest.raises(QueryError, match="direction must be forward or backward, got %r"
+                                         % (direction,)):
+        read(Projection(0, direction, Anchor(0)))
 
 
 def test_2p_roundtrip(toy_graph):
@@ -226,7 +242,7 @@ def test_classify_all_eight(toy_graph):
 
 def test_classify_long_chain_is_other(toy_graph):
     q = parse_query("(p LiveIn (p LiveIn (p LiveIn (p LiveIn (a Hinton)))))", toy_graph)
-    assert classify_type(q) == "other"
+    assert classify_type(q) == OTHER == "other"
 
 
 def test_classify_invariant_under_child_reordering(toy_graph):

@@ -121,6 +121,18 @@ def test_privacy_loss_both_direction_adds_forward_term(toy_graph):
     assert abs(both - (rev + fwd) / 2) < 1e-12
 
 
+@pytest.mark.parametrize("direction", ["bogus", "Both", "", None])
+def test_total_loss_refuses_an_unknown_privacy_direction(toy_graph, direction):
+    # total_loss is public: a value outside the two must not fall through to
+    # the reverse-only terms
+    m = make_encoder("gqe", toy_graph, dim=4, seed=0)
+    with pytest.raises(TrainError, match="privacy direction must be 'reverse-only' or 'both', "
+                                         "got %r" % (direction,)):
+        privacy_loss(m, sorted(toy_graph.private), direction)
+    with pytest.raises(TrainError, match="got %r" % (direction,)):
+        TrainConfig(privacy_direction=direction)
+
+
 def test_privacy_gradient_opposes_leak(toy_graph):
     # a private triple's probability must drop after one step on beta * L_p
     m = make_encoder("gqe", toy_graph, dim=8, seed=5)
