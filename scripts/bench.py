@@ -38,8 +38,10 @@ times, in order:
 - split: ``split_edges`` (seed 1);
 - sample-queries: ``sample_queries``, 10 per template (seed 11), relaxed;
 
-and counts its garbage collections. The file keeps every run's numbers and,
-per stage, their median.
+and counts its garbage collections and, per stage, its minor page faults
+(``ru_minflt``): a stage that touches pages no earlier stage faulted in pays
+for them, so its time depends on what ran before it. The file keeps every
+run's numbers and, per stage, their medians.
 
 Topic ``train``, one case per encoder (GQE, Q2B, Q2P): perfbench's train-gqe
 configuration with the encoder swapped: ``make_synthetic_kg(230, 6, 6, 3, 4,
@@ -87,13 +89,15 @@ def graph_child(rung: str) -> dict:
     from privkg import benchmark, graph, queries, synthetic
 
     spec = RUNGS[rung]
-    seconds = {}
+    seconds, minflt = {}, {}
     gc_before = sum(s["collections"] for s in gc.get_stats())
 
     def timed(stage, fn):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
         out = fn()
         seconds[stage] = time.perf_counter() - t0
+        minflt[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
         return out
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -116,6 +120,7 @@ def graph_child(rung: str) -> dict:
         "vertices": g.num_vertices(),
         "edges": len(g.triples),
         "seconds": seconds,
+        "minflt": minflt,
         "gc_collections": sum(s["collections"] for s in gc.get_stats()) - gc_before,
     }
 
@@ -124,6 +129,7 @@ def graph_summary(runs: list) -> dict:
     return {
         "median_s": {s: statistics.median(r["seconds"][s] for r in runs) for s in STAGES},
         "median_total_s": statistics.median(sum(r["seconds"].values()) for r in runs),
+        "median_minflt": {s: statistics.median(r["minflt"][s] for r in runs) for s in STAGES},
         "gc_collections": statistics.median(r["gc_collections"] for r in runs),
     }
 

@@ -130,8 +130,6 @@ class Encoder:
         if isinstance(first, Projection):
             return self.project(self._encode_group([n.child for n in nodes]),
                                 [n.rel for n in nodes], [n.direction for n in nodes])
-        if len(first.children) < 2:
-            raise EncoderError("intersection arity must be >= 2")
         return self.intersect([self._encode_group([n.children[k] for n in nodes])
                                for k in range(len(first.children))])
 

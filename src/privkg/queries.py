@@ -7,8 +7,10 @@ Grammar:
     (i EXPR EXPR ...)   intersection, arity >= 2
     (u EXPR EXPR ...)   union, arity >= 2
 
-Negation is not part of the fragment and is rejected at parse time, and a
-projection of a direction outside ``graph.DIRECTIONS`` when it is built.
+Negation is not part of the fragment and is rejected at parse time. A
+projection of a direction outside ``graph.DIRECTIONS``, and an intersection or
+union of fewer than two children, are refused when they are built, so every
+node that exists reads back from what ``serialize`` writes.
 """
 
 from __future__ import annotations
@@ -56,14 +58,23 @@ class Projection(_Node):
                              % (" or ".join(DIRECTIONS), self.direction))
 
 
-@dataclass(frozen=True)
-class Intersection(_Node):
-    children: tuple
+class _Group(_Node):
+    """An intersection or union: two or more children."""
+    def __post_init__(self):
+        if len(self.children) < 2:
+            raise QueryError("%r requires arity >= 2" % self.op)
 
 
 @dataclass(frozen=True)
-class Union(_Node):
+class Intersection(_Group):
     children: tuple
+    op = "i"
+
+
+@dataclass(frozen=True)
+class Union(_Group):
+    children: tuple
+    op = "u"
 
 
 QueryNode = TyUnion[Anchor, Projection, Intersection, Union]
@@ -109,13 +120,15 @@ def parse_query(text: str, g: KnowledgeGraph) -> QueryNode:
             children = []
             while tokens[pos][0] not in (")", None):
                 children.append(expr())
-            node = (Intersection if head == "i" else Union)(tuple(children))
+            take(")")
+            try:
+                return (Intersection if head == "i" else Union)(tuple(children))
+            except QueryError as e:
+                raise QueryError("%s at position %d" % (e, head_at)) from None
         else:
             raise QueryError("unknown operator %r (negation is not supported) at position %d"
                              % (head, head_at))
         take(")")
-        if isinstance(node, (Intersection, Union)) and len(node.children) < 2:
-            raise QueryError("%r requires arity >= 2 at position %d" % (head, head_at))
         return node
 
     node = expr()
@@ -139,9 +152,8 @@ def serialize(q: QueryNode, g: KnowledgeGraph) -> str:
     if isinstance(q, Projection):
         op = "p" if q.direction == FORWARD else "rp"
         return "(%s %s %s)" % (op, _written(g.relation_name(q.rel)), serialize(q.child, g))
-    if isinstance(q, (Intersection, Union)):
-        op = "i" if isinstance(q, Intersection) else "u"
-        return "(%s %s)" % (op, " ".join(serialize(c, g) for c in q.children))
+    if isinstance(q, _Group):
+        return "(%s %s)" % (q.op, " ".join(serialize(c, g) for c in q.children))
     raise QueryError("not a query node: %r" % (q,))
 
 
@@ -190,8 +202,8 @@ def shape(q: QueryNode) -> str | tuple:
         return "a"
     if isinstance(q, Projection):
         return ("p", shape(q.child))
-    if isinstance(q, (Intersection, Union)):
-        return ("i" if isinstance(q, Intersection) else "u",) + tuple(map(shape, q.children))
+    if isinstance(q, _Group):
+        return (q.op,) + tuple(map(shape, q.children))
     raise QueryError("not a query node: %r" % (q,))
 
 

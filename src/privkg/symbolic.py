@@ -66,6 +66,7 @@ def evaluate_tagged(g: KnowledgeGraph, q: QueryNode, mode: str = RELAXED) -> Tag
 def _walk(g, node, mode):
     """(full, private) answer sets of ``node``; public = full - private."""
     if isinstance(node, Anchor):
+        g.vertex_name(node.vertex)  # GraphError outside the vertex table, as in serialize
         return frozenset((node.vertex,)), _EMPTY
     if isinstance(node, Projection):
         child_full, child_priv = _walk(g, node.child, mode)

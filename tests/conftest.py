@@ -19,12 +19,16 @@ TOY_TRIPLES = [
 ]
 
 
-@pytest.fixture
-def toy_graph():
+def make_toy_graph():
     """Small researcher graph; Hinton's LiveIn edge is the private one."""
     g = from_named_triples(TOY_TRIPLES, TOY_SCHEMA)
     private = Triple(g.vertex_id("Hinton"), g.relation_id("LiveIn"), g.vertex_id("Toronto"))
     return g.mark_private({private})
+
+
+@pytest.fixture
+def toy_graph():
+    return make_toy_graph()
 
 
 def random_graph(seed, n_vertices=40, n_relations=4, n_attributes=2, n_triples=120):

@@ -14,7 +14,7 @@ bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench)
 
 ENTRY_KEYS = {
-    "graph": {"vertices", "edges", "median_s", "median_total_s", "gc_collections",
+    "graph": {"vertices", "edges", "median_s", "median_total_s", "median_minflt", "gc_collections",
               "peak_rss_mb", "malloc_pinned", "runs", *bench.ENV_KEYS},
     "train": {"vertices", "edges", "steps", "step_ms", "tape_nodes_per_step",
               "score_calls_per_step", "peak_rss_mb", "malloc_pinned", "runs", *bench.ENV_KEYS},
@@ -32,7 +32,8 @@ def calls(tmp_path, monkeypatch):
     def run(topic, case, label, src):
         seen.append((case, label))
         return {"vertices": 3, "edges": 5, "peak_rss_mb": 1.0 + len(seen), "malloc_pinned": True,
-                "seconds": {s: 0.1 for s in bench.STAGES}, "gc_collections": len(seen),
+                "seconds": {s: 0.1 for s in bench.STAGES}, "minflt": {s: 7 for s in bench.STAGES},
+                "gc_collections": len(seen),
                 "step_s": [0.001, 0.002 * len(seen)], "tape_nodes_per_step": 9,
                 "score_calls_per_step": 1, **ENV}
 
@@ -65,6 +66,8 @@ def test_merge_replaces_only_the_measured_labels(tmp_path, calls, topic):
             assert len(entry["runs"]) == bench.ROUNDS
             assert {key: entry[key] for key in bench.ENV_KEYS} == ENV
             assert not set(bench.ENV_KEYS) & set(entry["runs"][0])
+            if topic == "graph":
+                assert entry["median_minflt"] == {s: 7 for s in bench.STAGES}
     assert len(calls) == 2 * bench.ROUNDS * len(cases)
 
 
@@ -73,7 +76,8 @@ def test_a_label_faster_in_every_round_wins_every_round(tmp_path, monkeypatch, t
     def run(topic, case, label, src):
         seconds = 0.1 if label == "change" else 0.2
         return {"vertices": 3, "edges": 5, "peak_rss_mb": 1.0, "malloc_pinned": True,
-                "seconds": {s: seconds for s in bench.STAGES}, "gc_collections": 0,
+                "seconds": {s: seconds for s in bench.STAGES},
+                "minflt": {s: 7 for s in bench.STAGES}, "gc_collections": 0,
                 "step_s": [seconds, 2 * seconds], "tape_nodes_per_step": 9,
                 "score_calls_per_step": 1, **ENV}
 

@@ -10,7 +10,7 @@ import pytest
 from privkg import autodiff as ad
 from privkg.encoders import (ENCODERS, BoxEmbedding, EncoderError, ParticleEmbedding,
                              VectorEmbedding, load_encoder, make_encoder)
-from privkg.queries import Anchor, Intersection, Projection, parse_query
+from privkg.queries import Anchor, Intersection, Projection, QueryError, Union, parse_query
 from privkg.training import total_loss
 from . import _ops as ops
 from ._named_triples import from_named_triples
@@ -125,11 +125,12 @@ def test_batched_rows_match_single_rows(models, kind):
             assert np.max(np.abs(got.data[row] - want.data[0])) < 1e-12
 
 
-def test_intersection_arity_error(models):
-    from privkg.queries import Intersection, Anchor
-    for m in models.values():
-        with pytest.raises(EncoderError):
-            m.encode(Intersection((Anchor(0),)))
+def test_intersection_arity_error():
+    # the arity rule lives in the node types: no encoder can be handed such a node
+    for node, op in [(Intersection, "i"), (Union, "u")]:
+        for children in [(Anchor(0),), ()]:
+            with pytest.raises(QueryError, match="^'%s' requires arity >= 2$" % op):
+                node(children)
 
 
 # -- encoding -------------------------------------------------------------------

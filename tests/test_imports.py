@@ -3,7 +3,8 @@ every private name it defines at module level and every private attribute
 it stores. Every public top-level function and class has a reader in the
 program (``src/privkg``, ``perfbench/`` or ``scripts/``) unless it is on an
 allowlist with a reason. Every closed set of choices is named once, in its
-owning module, and every check and CLI choice reads that name."""
+owning module, and every check and CLI choice reads that name. The arity rule of
+an intersection or union is stated once, in ``queries.py``."""
 
 import argparse
 import ast
@@ -123,6 +124,19 @@ def restated_sets(source: str) -> list[str]:
     return ["line %d: %s" % item for item in sorted(found)]
 
 
+def arity_checks(source: str) -> list[str]:
+    """Comparisons that read ``len(<expr>.children)``: each restates the arity rule
+    that the query node types (``queries.py``) state once."""
+    def counts_children(node):
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "len" and len(node.args) == 1
+                and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "children")
+    found = [(node.lineno, ast.unparse(node)) for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Compare)
+             and any(map(counts_children, [node.left, *node.comparators]))]
+    return ["line %d: %s" % item for item in sorted(found)]
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -141,6 +155,12 @@ def test_no_unread_private_attributes(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_closed_set_is_restated(path):
     assert restated_sets(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "queries.py"),
+                         ids=lambda p: p.name)
+def test_the_arity_rule_has_one_home(path):
+    assert arity_checks(path.read_text(encoding="utf-8")) == []
 
 
 def test_every_cli_choice_is_the_library_set():
@@ -231,6 +251,16 @@ def test_guard_flags_a_restated_set():
               "for d in (FORWARD, BACKWARD):\n    pass\n")
     assert restated_sets(source) == ["line 1: (RELAXED, STRICT)", "line 4: [m.A, m.B]",
                                      "line 6: {C, D}"]
+
+
+def test_guard_flags_an_arity_check():
+    source = ("if len(first.children) < 2:\n    pass\n"
+              "ok = 2 > len(q.children) or len(kids) < 2 or size(q.children) < 2\n"
+              "n = len(q.children)\nfor k in range(len(q.children)):\n    pass\n"
+              "same = len(a.children) == len(b.rest)\n")
+    assert arity_checks(source) == ["line 1: len(first.children) < 2",
+                                    "line 3: 2 > len(q.children)",
+                                    "line 7: len(a.children) == len(b.rest)"]
 
 
 def test_guard_flags_an_unread_public_name():

@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from privkg.graph import FORWARD, REL, ATTR, KnowledgeGraph, Triple
+from privkg.graph import FORWARD, REL, ATTR, GraphError, KnowledgeGraph, Triple
 from privkg.queries import Anchor, Intersection, Projection, parse_query
-from privkg.symbolic import EvalError, evaluate, evaluate_tagged
+from privkg.symbolic import MODES, EvalError, evaluate, evaluate_tagged
 from ._named_triples import from_named_triples
 from ._oracle import brute_force_oracle
 from .conftest import mark_random_private, random_graph, random_query
@@ -16,6 +16,18 @@ def test_fig2_1p_query(toy_graph):
     toronto = toy_graph.vertex_id("Toronto")
     assert evaluate(toy_graph, q) == {toronto}
     assert evaluate(toy_graph.public_view(), q) == frozenset()
+
+
+@pytest.mark.parametrize("q, vid", [(Anchor(-1), -1), (Anchor(99), 99),
+                                     (Intersection((Anchor(99), Anchor(99))), 99)],
+                         ids=["anchor-1", "anchor99", "intersection"])
+def test_an_anchor_outside_the_vertex_table_is_refused(toy_graph, q, vid):
+    # a projection's ids reach the check in neighbors; an anchor is checked itself
+    readers = [lambda: evaluate(toy_graph, q)]
+    readers += [lambda mode=mode: evaluate_tagged(toy_graph, q, mode) for mode in MODES]
+    for read in readers:
+        with pytest.raises(GraphError, match="^unknown vertex id %d$" % vid):
+            read()
 
 
 def test_intersection_idempotence(toy_graph):
