@@ -37,6 +37,8 @@ times, in order:
 - privatize: ``sample_private_edges`` (seed 1) and ``write_triples`` of them;
 - split: ``split_edges`` (seed 1);
 - sample-queries: ``sample_queries``, 10 per template (seed 11), relaxed;
+- audit: one pass of ``evaluate_tagged`` on the test graph over those
+  queries, in relaxed and then in strict mode;
 
 and counts its garbage collections and, per stage, its minor page faults
 (``ru_minflt``): a stage that touches pages no earlier stage faulted in pays
@@ -81,12 +83,12 @@ RUNGS = {
     "build-4k": {"args": [4000, 104, 6, 3, 4, 1, 7], "n_private": 2000},
     "15k": {"args": [15000, 375, 20, 3, 4, 2, 7], "n_private": 7500},
 }
-STAGES = ("generate", "write", "load", "privatize", "split", "sample_queries")
+STAGES = ("generate", "write", "load", "privatize", "split", "sample_queries", "audit")
 
 
 def graph_child(rung: str) -> dict:
     """One timed pass over the stages; ``privkg`` must be importable."""
-    from privkg import benchmark, graph, queries, synthetic
+    from privkg import benchmark, graph, queries, symbolic, synthetic
 
     spec = RUNGS[rung]
     seconds, minflt = {}, {}
@@ -114,8 +116,10 @@ def graph_child(rung: str) -> dict:
 
         private = timed("privatize", privatize)
         split = timed("split", lambda: benchmark.split_edges(g, private, 1))
-        timed("sample_queries", lambda: [benchmark.sample_queries(split, qtype, 10, 11)
-                                         for qtype in queries.QUERY_TYPES])
+        sampled = timed("sample_queries", lambda: [benchmark.sample_queries(split, qtype, 10, 11)
+                                                   for qtype in queries.QUERY_TYPES])
+        timed("audit", lambda: [symbolic.evaluate_tagged(split.test, bq.query, mode)
+                                for mode in symbolic.MODES for bqs in sampled for bq in bqs])
     return {
         "vertices": g.num_vertices(),
         "edges": len(g.triples),

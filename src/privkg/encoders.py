@@ -99,6 +99,10 @@ class Encoder:
     def _rel_row(self, rels, directions) -> np.ndarray:
         return 2 * np.asarray(rels, dtype=np.intp) + (np.asarray(directions) == BACKWARD)
 
+    def _in_table(self, ids: list, name) -> list:
+        name(min(ids)), name(max(ids))  # the graph's refusal of an id outside its table
+        return ids
+
     def encode(self, q: QueryNode) -> list:
         """Embeddings of the DNF disjuncts, one per shape (``_encode_groups``)."""
         return [emb for _, emb in self._encode_groups(q.disjuncts)]
@@ -120,16 +124,18 @@ class Encoder:
             fields = ([g.child.vertex for g in group], [g.rel for g in group],
                       [g.direction for g in group])
             anchor, rel, direction = (f + h.tolist() for f, h in zip(fields, hops))
-            yield idx, self.project(self.anchor(anchor), rel, direction)
+            yield idx, self.project(self.anchor(self._in_table(anchor, self.graph.vertex_name)),
+                                    self._in_table(rel, self.graph.relation_name), direction)
 
     def _encode_group(self, nodes):
         """Encode same-shaped union-free nodes; one primitive call per operator."""
         first = nodes[0]
         if isinstance(first, Anchor):
-            return self.anchor([n.vertex for n in nodes])
+            return self.anchor(self._in_table([n.vertex for n in nodes], self.graph.vertex_name))
         if isinstance(first, Projection):
             return self.project(self._encode_group([n.child for n in nodes]),
-                                [n.rel for n in nodes], [n.direction for n in nodes])
+                                self._in_table([n.rel for n in nodes], self.graph.relation_name),
+                                [n.direction for n in nodes])
         return self.intersect([self._encode_group([n.children[k] for n in nodes])
                                for k in range(len(first.children))])
 

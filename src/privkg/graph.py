@@ -2,16 +2,17 @@
 store, and a per-triple private flag on attribute edges.
 
 An id is a position in ``vertex_names`` or ``relations``. Graphs are immutable;
-``mark_private`` and ``public_view`` return views sharing those tables, which
-are the key space of the graph's ``EdgeSet``s (``triples``, ``private``,
-``attribute_triples()``): set operations combine only ``EdgeSet``s of equal
-tables, and a refusal names both by their ``vocabulary_digests``. Neighbour
-lookups go through CSR indices (``indptr``/``targets`` over ``src * R + rel``),
-built lazily per direction and view; each lookup's frozenset is memoised.
+``mark_private``, ``with_triples`` and the memoised ``public_view`` share those
+tables, name→id maps and kind mask. The tables are the key space of ``EdgeSet``s
+(``triples``, ``private``, ``attribute_triples()``): set operations take only
+``EdgeSet``s of equal tables, and a refusal names both by ``vocabulary_digests``.
+Neighbour lookups go through CSR indices (``indptr``/``targets`` over
+``src * R + rel``), built lazily per direction; each lookup is memoised.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -24,11 +25,8 @@ REL = "rel"
 ATTR = "attr"
 FORWARD = "forward"
 BACKWARD = "backward"
-FULL = "full"
-PUBLIC = "public"
 KINDS = (REL, ATTR)  # each closed set once, read by every check
 DIRECTIONS = (FORWARD, BACKWARD)
-VIEWS = (FULL, PUBLIC)
 
 
 class GraphError(Exception):
@@ -66,7 +64,7 @@ def _vocabulary(space) -> str:
 
 
 def _on_keys(array_op):
-    """``array_op`` between two views of one vocabulary; any other operand is a
+    """``array_op`` between two edge sets of one vocabulary; any other operand is a
     ``TypeError``, not a comparison of raw keys or of Python sets."""
     def op(self, other):
         if isinstance(other, EdgeSet) and other.space == self.space:
@@ -82,7 +80,7 @@ class EdgeSet:
     ``(head * R + rel) * V + tail`` of the key space ``space``, its graph's
     ``(relations, vertex_names)`` (R and V their lengths). Iteration decodes the
     keys in ``(head, rel, tail)`` order; ``&``, ``-``, ``<=`` and ``==`` take
-    only an ``EdgeSet`` of equal tables (shared by every view of one graph)."""
+    only an ``EdgeSet`` of equal tables (shared by every graph derived from one)."""
 
     __slots__ = ("keys", "space")
 
@@ -126,6 +124,9 @@ class KnowledgeGraph:
                              % (bad[0].name, " or ".join(KINDS), bad[0].kind))
         self._space = (self.relations, self.vertex_names)
         self._is_attr = np.array([r.kind == ATTR for r in self.relations], dtype=bool)
+        self._set_edges(triples, private)
+
+    def _set_edges(self, triples, private) -> None:
         self.triples: EdgeSet = self.edge_set(triples)
         self.private: EdgeSet = self.edge_set(private)
         if not self.private <= self.triples:
@@ -134,8 +135,9 @@ class KnowledgeGraph:
         if self.private and not self.private <= (attrs := self.attribute_triples()):
             raise GraphError("private flag on non-attribute triple (privacy applies only to "
                              "attribute triples): %r" % (next(iter(self.private - attrs)),))
-        self._csr: dict[tuple[str, bool], tuple[np.ndarray, np.ndarray]] = {}
+        self._csr: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._lookups: dict[tuple, frozenset[int]] = {}
+        self._public: KnowledgeGraph | None = None  # never self: that would be a cycle
 
     def edge_set(self, triples) -> EdgeSet:
         """``triples`` (an ``EdgeSet`` of this graph's tables, an ``(n, 3)`` array
@@ -187,44 +189,40 @@ class KnowledgeGraph:
             raise GraphError("unknown relation id %d" % rid)
         return self.relations[rid].name
 
-    def neighbors(self, v: int, r: int, direction: str = FORWARD, view: str = FULL) -> frozenset[int]:
-        """Forward: tails of (v, r, *). Backward: heads of (*, r, v).
-
-        ``view=FULL`` reads every triple, ``view=PUBLIC`` excludes private ones.
-        """
-        key = (v, r, direction, view)
+    def neighbors(self, v: int, r: int, direction: str = FORWARD) -> frozenset[int]:
+        """Forward: tails of (v, r, *). Backward: heads of (*, r, v). Private
+        triples count; ``public_view().neighbors`` leaves them out."""
+        key = (v, r, direction)
         result = self._lookups.get(key)
         if result is not None:
             return result
         self.vertex_name(v), self.relation_name(r)  # each refuses an id outside its table
         if direction not in DIRECTIONS:
             raise GraphError("direction must be %s, got %r" % (" or ".join(DIRECTIONS), direction))
-        if view not in VIEWS:
-            raise GraphError("view must be %s, got %r" % (" or ".join(VIEWS), view))
-        indptr, targets = self._index(direction, view == PUBLIC and bool(self.private))
+        indptr, targets = self._index(direction)
         k = v * len(self.relations) + r
         result = self._lookups[key] = frozenset(targets[indptr[k]:indptr[k + 1]].tolist())
         return result
 
-    def _index(self, direction: str, public: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _index(self, direction: str) -> tuple[np.ndarray, np.ndarray]:
         """CSR over key ``src * R + rel``: the targets of key k are
         ``targets[indptr[k]:indptr[k + 1]]``."""
-        csr = self._csr.get((direction, public))
+        csr = self._csr.get(direction)
         if csr is None:
-            h, r, t = (self.triples - self.private if public else self.triples).rows().T
+            h, r, t = self.triples.rows().T
             src, dst = (h, t) if direction == FORWARD else (t, h)
             n_keys = len(self.vertex_names) * len(self.relations)
             keys = src * len(self.relations) + r
             indptr = np.zeros(n_keys + 1, dtype=np.int64)
             np.cumsum(np.bincount(keys, minlength=n_keys), out=indptr[1:])
-            csr = self._csr[direction, public] = (indptr, dst[np.argsort(keys, kind="stable")])
+            csr = self._csr[direction] = (indptr, dst[np.argsort(keys, kind="stable")])
         return csr
 
     def incident_vertices(self) -> list[int]:
         """Sorted ids of the vertices that have at least one triple, read off the
-        full-view indices: every R-th ``indptr`` entry starts a vertex's keys."""
+        indices: every R-th ``indptr`` entry starts a vertex's keys."""
         step = max(len(self.relations), 1)
-        fwd, bwd = (np.diff(self._index(d, False)[0][::step]) for d in DIRECTIONS)
+        fwd, bwd = (np.diff(self._index(d)[0][::step]) for d in DIRECTIONS)
         return np.flatnonzero(fwd + bwd).tolist()
 
     def attribute_triples(self) -> EdgeSet:
@@ -232,18 +230,28 @@ class KnowledgeGraph:
         keys = self.triples.keys
         return EdgeSet(keys[self._is_attr[keys // n_vert % n_rel]], self._space)
 
-    # -- derived views -----------------------------------------------------
+    # -- derived graphs ----------------------------------------------------
 
     def mark_private(self, triples: Iterable[Triple]) -> "KnowledgeGraph":
-        return KnowledgeGraph(self.vertex_names, self.relations, self.triples, triples)
+        return self._derive(self.triples, triples)
 
     def public_view(self) -> "KnowledgeGraph":
-        """Drop private triples; vertex table unchanged (vertices may isolate)."""
-        return KnowledgeGraph(self.vertex_names, self.relations, self.triples - self.private)
+        """Drop private triples; vertex table unchanged (vertices may isolate).
+        Built once; a graph without private triples returns itself."""
+        if not self.private:
+            return self
+        self._public = self._public or self._derive(self.triples - self.private)
+        return self._public
 
     def with_triples(self, triples: Iterable[Triple], private=()) -> "KnowledgeGraph":
         """New graph over the same vertex/relation tables with another edge set."""
-        return KnowledgeGraph(self.vertex_names, self.relations, triples, private)
+        return self._derive(triples, private)
+
+    def _derive(self, triples, private=()) -> "KnowledgeGraph":
+        """A graph of other edges sharing this one's tables, name→id maps and kind mask."""
+        g = copy.copy(self)
+        g._set_edges(triples, private)
+        return g
 
 
 @dataclass(frozen=True)

@@ -68,6 +68,8 @@ def test_merge_replaces_only_the_measured_labels(tmp_path, calls, topic):
             assert not set(bench.ENV_KEYS) & set(entry["runs"][0])
             if topic == "graph":
                 assert entry["median_minflt"] == {s: 7 for s in bench.STAGES}
+                assert entry["median_s"] == {s: 0.1 for s in bench.STAGES}
+                assert "audit" in entry["median_s"]
     assert len(calls) == 2 * bench.ROUNDS * len(cases)
 
 

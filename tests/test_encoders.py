@@ -10,6 +10,7 @@ import pytest
 from privkg import autodiff as ad
 from privkg.encoders import (ENCODERS, BoxEmbedding, EncoderError, ParticleEmbedding,
                              VectorEmbedding, load_encoder, make_encoder)
+from privkg.graph import GraphError
 from privkg.queries import Anchor, Intersection, Projection, QueryError, Union, parse_query
 from privkg.training import total_loss
 from . import _ops as ops
@@ -481,15 +482,21 @@ def test_encoded_union_free_query_is_freed_by_reference_counting(models, toy_gra
 @pytest.mark.parametrize("kind", KINDS)
 def test_an_anchor_or_relation_outside_its_table_is_refused(models, kind):
     # Anchor(-1) must not score as the last vertex, nor relation -1 read another
-    # relation's row; relation r has rows 2r (forward) and 2r + 1 (backward)
+    # relation's row; each is refused with the graph's own error, as serialize and
+    # evaluate refuse it, on every path from a query: encode, log_probabilities with
+    # and without one-hop terms (those join the (p a) group)
     m = models[kind]
     nv, nr = m.graph.num_vertices(), len(m.graph.relations)
-    for q, row, size in ((Anchor(-1), -1, nv), (Anchor(nv), nv, nv),
-                         (Projection(-1, "forward", Anchor(0)), -2, 2 * nr),
-                         (Projection(nr, "backward", Anchor(0)), 2 * nr + 1, 2 * nr)):
-        with pytest.raises(ad.AutodiffError, match="row id %d outside a table of %d rows"
-                                                   % (row, size)):
-            m.log_probabilities([q], [[0]])
+    hops = [np.array([0]), np.array([0]), np.array(["forward"]), np.array([1])]
+    for q, message in ((Anchor(-1), "unknown vertex id -1"),
+                       (Anchor(nv), "unknown vertex id %d" % nv),
+                       (Projection(-1, "forward", Anchor(0)), "unknown relation id -1"),
+                       (Projection(nr, "backward", Anchor(0)), "unknown relation id %d" % nr),
+                       (Projection(0, "forward", Anchor(-1)), "unknown vertex id -1")):
+        for read in (lambda: m.encode(q), lambda: m.log_probabilities([q], [[0]]),
+                     lambda: m.log_probabilities([q], [[0]], hops=hops)):
+            with pytest.raises(GraphError, match="^%s$" % message):
+                read()
 
 
 def test_probability_errors(models):

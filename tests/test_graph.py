@@ -114,6 +114,7 @@ def test_mark_private_rejects_absent_triple(toy_graph):
 
 def test_public_view_identity_without_private():
     g = from_named_triples([("A", "r", "B")], {"r": REL})
+    assert g.public_view() is g
     assert g.public_view().triples == g.triples
 
 
@@ -121,6 +122,12 @@ def test_public_view_drops_exactly_the_private_edge(toy_graph):
     pub = toy_graph.public_view()
     assert toy_graph.triples - pub.triples == toy_graph.private
     assert pub.vertex_names == toy_graph.vertex_names  # vertices may isolate
+    assert pub is toy_graph.public_view() and pub.public_view() is pub  # built once
+    # every derived graph shares its graph's vocabulary; none interns a name again
+    for derived in (pub, toy_graph.mark_private(()), toy_graph.with_triples(toy_graph.triples)):
+        assert derived._vid is toy_graph._vid and derived._rid is toy_graph._rid
+        assert derived._is_attr is toy_graph._is_attr
+        assert derived._lookups is not toy_graph._lookups  # but looks up its own edges
 
 
 def test_public_view_count_on_random_graph():
@@ -134,18 +141,12 @@ def test_neighbors_fig2(toy_graph):
     h = toy_graph.vertex_id("Hinton")
     live = toy_graph.relation_id("LiveIn")
     toronto = toy_graph.vertex_id("Toronto")
-    assert toy_graph.neighbors(h, live, "forward", "full") == {toronto}
-    assert toy_graph.neighbors(h, live, "forward", "public") == frozenset()
-
-
-@pytest.mark.parametrize("view", ["Public", "private", ""])
-def test_neighbors_refuse_an_unknown_view(toy_graph, view):
-    # a misspelt view must not fall through to the full one, which holds the private
-    # edge Hinton -> Toronto
-    h = toy_graph.vertex_id("Hinton")
-    live = toy_graph.relation_id("LiveIn")
-    with pytest.raises(GraphError, match="view must be full or public, got %r" % view):
-        toy_graph.neighbors(h, live, "forward", view)
+    assert toy_graph.neighbors(h, live, "forward") == {toronto}
+    # the private edge Hinton -> Toronto is absent from the public view, both ways
+    pub = toy_graph.public_view()
+    assert pub.neighbors(h, live, "forward") == frozenset()
+    assert pub.neighbors(toronto, live, "backward") == frozenset()
+    assert toy_graph.neighbors(toronto, live, "backward") == {h}
 
 
 def test_an_id_outside_its_table_has_no_name(toy_graph):
@@ -186,15 +187,19 @@ def test_neighbors_match_linear_scan():
 
 
 def test_neighbors_public_equals_full_on_public_view():
+    # public lookups are full lookups on the public view: a scan of triples - private
     g = random_graph(13, n_vertices=50, n_triples=160, n_attributes=3)
     attrs = sorted(g.attribute_triples())
     g = g.mark_private(random.Random(3).sample(attrs, min(12, len(attrs))))
     pub = g.public_view()
+    visible = sorted(g.triples - g.private)
+    assert len(visible) == len(g.triples) - 12
     for v in range(g.num_vertices()):
         for r in range(len(g.relations)):
-            for direction in ("forward", "backward"):
-                assert g.neighbors(v, r, direction, "public") == \
-                    pub.neighbors(v, r, direction, "full")
+            fwd = frozenset(t.tail for t in visible if t.head == v and t.rel == r)
+            bwd = frozenset(t.head for t in visible if t.tail == v and t.rel == r)
+            assert pub.neighbors(v, r, "forward") == fwd
+            assert pub.neighbors(v, r, "backward") == bwd
 
 
 def test_index_round_trip():
@@ -224,15 +229,14 @@ def graphs_with_private(draw):
 @settings(max_examples=150, deadline=None)
 @given(graphs_with_private(), st.booleans())
 def test_neighbors_match_linear_scan_property(g, public_first):
-    views = ("public", "full") if public_first else ("full", "public")
-    for view in views:
-        visible = g.triples - g.private if view == "public" else g.triples
+    pairs = [(g, g.triples), (g.public_view(), g.triples - g.private)]
+    for view, visible in pairs[::-1] if public_first else pairs:
         for v in range(g.num_vertices()):
             for r in range(len(g.relations)):
                 fwd = frozenset(t.tail for t in visible if t.head == v and t.rel == r)
                 bwd = frozenset(t.head for t in visible if t.tail == v and t.rel == r)
-                assert g.neighbors(v, r, "forward", view) == fwd
-                assert g.neighbors(v, r, "backward", view) == bwd
+                assert view.neighbors(v, r, "forward") == fwd
+                assert view.neighbors(v, r, "backward") == bwd
     for view in (g, g.public_view()):
         assert view.incident_vertices() == sorted({v for t in view.triples for v in t[::2]})
     assert g.public_view().triples == g.triples - g.private

@@ -1,13 +1,17 @@
 import gc
 import random
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from privkg.graph import FORWARD, REL, ATTR, GraphError, KnowledgeGraph, Triple
-from privkg.queries import Anchor, Intersection, Projection, parse_query
+from privkg.graph import (FORWARD, REL, ATTR, DIRECTIONS, GraphError, KnowledgeGraph, Relation,
+                          Triple)
+from privkg.queries import Anchor, Intersection, Projection, Union, parse_query
 from privkg.symbolic import MODES, EvalError, evaluate, evaluate_tagged
 from ._named_triples import from_named_triples
 from ._oracle import brute_force_oracle
+from ._tagging_reference import reference_tagged
 from .conftest import mark_random_private, random_graph, random_query
 
 
@@ -76,24 +80,29 @@ def test_no_private_triples_means_no_private_answers(toy_graph):
 
 
 def test_private_free_graph_makes_no_public_lookup(toy_graph, monkeypatch):
-    views = []
+    receivers = []
     neighbors = KnowledgeGraph.neighbors
 
-    def spy(self, v, r, direction=FORWARD, view="full"):
-        views.append(view)
-        return neighbors(self, v, r, direction, view)
+    def spy(self, v, r, direction=FORWARD):
+        receivers.append(self)
+        return neighbors(self, v, r, direction)
 
     monkeypatch.setattr(KnowledgeGraph, "neighbors", spy)
     text = "(p LiveIn (u (a Hinton) (i (rp WinAward (a Turing)) (a LeCun))))"
     public = toy_graph.public_view()
+    assert public.public_view() is public  # a private-free graph is its own public view
     q = parse_query(text, public)
     assert evaluate(public, q) == brute_force_oracle(public, q)
     for mode in ("relaxed", "strict"):
         assert evaluate_tagged(public, q, mode).private_members == frozenset()
-    assert views and set(views) == {"full"}
-    # the spy sees the public view where there are private edges to leave out
+    assert receivers and all(g is public for g in receivers)
+    # where there are private edges to leave out, the walk also reads the public view
+    receivers.clear()
+    assert evaluate_tagged(toy_graph, q).all_members() == brute_force_oracle(toy_graph, q)
+    assert {id(g) for g in receivers} == {id(toy_graph), id(public)}
+    receivers.clear()
     assert evaluate(toy_graph, q) == brute_force_oracle(toy_graph, q)
-    assert "public" in views
+    assert receivers and all(g is toy_graph for g in receivers)
 
 
 def test_intersection_tags_dually_present_member_private():
@@ -179,13 +188,18 @@ def test_evaluation_leaves_no_reference_cycles():
     g = mark_random_private(random_graph(5, n_vertices=30, n_triples=100), 8, 5)
     q = random_query(g, random.Random(5), max_depth=4)
     evaluate(g, q)
-    evaluate_tagged(g, q)  # fill the graph's lookup memo and CSR indices first
+    evaluate_tagged(g, q)  # fill the lookup memos, CSR indices and public view first
     gc.collect()
     gc.disable()
     try:
         evaluate(g, q)
         evaluate_tagged(g, q, "strict")
         assert gc.collect() == 0
+        # the memoised public view refers to none of its graph, so both go on del
+        graph, pub = weakref.ref(g), weakref.ref(g.public_view())
+        assert pub() is not g
+        del g
+        assert graph() is None and pub() is None
     finally:
         gc.enable()
 
@@ -208,3 +222,48 @@ def test_structurally_equal_subtrees_evaluate_without_hashing(toy_graph, monkeyp
 
 def _unhashable(node):
     raise AssertionError("query node hashed during evaluation")
+
+
+def _queries(n_vertices, n_relations, depth):
+    """Query trees of depth <= ``depth`` over ids in range; i/u take 2-3 children."""
+    anchor = st.builds(Anchor, st.integers(0, n_vertices - 1))
+    if depth == 1:
+        return anchor
+    sub = _queries(n_vertices, n_relations, depth - 1)
+    children = st.lists(sub, min_size=2, max_size=3).map(tuple)
+    projection = st.builds(Projection, st.integers(0, n_relations - 1),
+                           st.sampled_from(DIRECTIONS), sub)
+    return st.one_of(projection, projection, st.builds(Intersection, children),
+                     st.builds(Union, children), anchor)
+
+
+@st.composite
+def _tagging_cases(draw, max_private=8):
+    """A random graph of 1-5 vertices and 1-3 relations, each possible triple
+    drawn in or out, with 0 to ``max_private`` private attribute edges; and a
+    random query of depth <= 4 over it."""
+    n_vertices = draw(st.integers(1, 5))
+    kinds = draw(st.lists(st.sampled_from([ATTR, REL]), min_size=1, max_size=3))
+    cells = [(h, r, t) for h in range(n_vertices) for r in range(len(kinds))
+             for t in range(n_vertices)]
+    kept = draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+    g = KnowledgeGraph(["v%d" % i for i in range(n_vertices)],
+                       [Relation("r%d" % i, kind) for i, kind in enumerate(kinds)],
+                       [c for c, keep in zip(cells, kept) if keep])
+    attrs = sorted(g.attribute_triples())
+    marked = draw(st.lists(st.booleans(), min_size=len(attrs), max_size=len(attrs)))
+    private = [t for t, mark in zip(attrs, marked) if mark][:max_private]
+    return g.mark_private(private), draw(_queries(n_vertices, len(kinds), 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tagging_cases())
+def test_tagging_matches_the_reference_in_both_modes(case):
+    # the walk over a graph and its public view gives the (full, private) formulas' tags
+    g, q = case
+    for mode in MODES:
+        full, private = reference_tagged(g, q, mode)
+        tagged = evaluate_tagged(g, q, mode)
+        assert tagged.private_members == private
+        assert tagged.public_members == full - private
+    assert evaluate(g, q) == full
