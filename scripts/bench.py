@@ -39,6 +39,9 @@ times, in order:
 - sample-queries: ``sample_queries``, 10 per template (seed 11), relaxed;
 - audit: one pass of ``evaluate_tagged`` on the test graph over those
   queries, in relaxed and then in strict mode;
+- save_checkpoint: ``Encoder.save`` of a GQE encoder at dim 32 (seed 3,
+  built untimed) on the loaded graph, 624,000 table values on the 15k rung;
+- load_checkpoint: ``load_encoder`` of that file onto the loaded graph;
 
 and counts its garbage collections and, per stage, its minor page faults
 (``ru_minflt``): a stage that touches pages no earlier stage faulted in pays
@@ -83,12 +86,13 @@ RUNGS = {
     "build-4k": {"args": [4000, 104, 6, 3, 4, 1, 7], "n_private": 2000},
     "15k": {"args": [15000, 375, 20, 3, 4, 2, 7], "n_private": 7500},
 }
-STAGES = ("generate", "write", "load", "privatize", "split", "sample_queries", "audit")
+STAGES = ("generate", "write", "load", "privatize", "split", "sample_queries", "audit",
+          "save_checkpoint", "load_checkpoint")
 
 
 def graph_child(rung: str) -> dict:
     """One timed pass over the stages; ``privkg`` must be importable."""
-    from privkg import benchmark, graph, queries, symbolic, synthetic
+    from privkg import benchmark, encoders, graph, queries, symbolic, synthetic
 
     spec = RUNGS[rung]
     seconds, minflt = {}, {}
@@ -120,6 +124,10 @@ def graph_child(rung: str) -> dict:
                                                    for qtype in queries.QUERY_TYPES])
         timed("audit", lambda: [symbolic.evaluate_tagged(split.test, bq.query, mode)
                                 for mode in symbolic.MODES for bqs in sampled for bq in bqs])
+        model = encoders.make_encoder("gqe", g, dim=32, seed=3)
+        checkpoint = os.path.join(tmp, "model.ckpt")
+        timed("save_checkpoint", lambda: model.save(checkpoint))
+        timed("load_checkpoint", lambda: encoders.load_encoder(checkpoint, g))
     return {
         "vertices": g.num_vertices(),
         "edges": len(g.triples),

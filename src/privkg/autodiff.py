@@ -492,6 +492,8 @@ def transpose(a) -> Tensor:
 
 
 CHECKPOINT_TAG = "# privkg-params v1"
+SAVE_CHUNK = 4096  # values formatted by one % operation when saving
+LOAD_PIECE = 32768  # characters read at a time when loading
 
 
 def read_checkpoint_header(f) -> str:
@@ -531,17 +533,26 @@ class ParameterStore:
         with open(path, "w", encoding="utf-8") as f:
             f.write("%s %s\n" % (CHECKPOINT_TAG, header_extra))
             for name in sorted(self.params):
-                p = self.params[name]
-                shape = "x".join(str(s) for s in p.data.shape) or "scalar"
-                values = ",".join("%.17g" % v for v in p.data.ravel())
-                f.write("%s\t%s\t%s\n" % (name, shape, values))
+                data = self.params[name].data
+                f.write("%s\t%s\t" % (name, "x".join(str(s) for s in data.shape) or "scalar"))
+                for i in range(0, data.size, SAVE_CHUNK):
+                    chunk = tuple(data.flat[i:i + SAVE_CHUNK].tolist())
+                    f.write(("," if i else "") + ",".join(["%.17g"] * len(chunk)) % chunk)
+                f.write("\n")
 
     def load(self, path) -> None:
-        """Replace all parameters from a file of exactly these names, shapes, finite values."""
+        """Replace all parameters from a file of exactly these names, shapes, finite values.
+
+        Each line is read and parsed LOAD_PIECE characters at a time; none is held whole."""
         loaded = {}
         with open(path, encoding="utf-8") as f:
             read_checkpoint_header(f)
-            for line in f:
+            while piece := f.readline(LOAD_PIECE):
+                line, tabs = piece, piece.count("\t")  # read on until name and shape are whole
+                while tabs < 2 and piece and piece[-1] != "\n":
+                    piece = f.readline(LOAD_PIECE)
+                    line += piece
+                    tabs += piece.count("\t")
                 name, _, rest = line.rstrip("\n").partition("\t")
                 if name not in self.params or name in loaded:
                     raise AutodiffError("unexpected or repeated parameter %r in checkpoint" % name)
@@ -550,13 +561,27 @@ class ParameterStore:
                 if shape != ("x".join(str(s) for s in want) or "scalar"):
                     raise AutodiffError("parameter %r has shape %s in checkpoint, expected %r"
                                         % (name, shape, want))
-                try:
-                    arr = np.array([float(v) for v in values.split(",")]).reshape(want)
-                except ValueError:
-                    raise AutodiffError("malformed values of parameter %r" % name) from None
-                if not np.all(np.isfinite(arr)):
+                flat, n, finite = np.empty(self.params[name].data.size), 0, True
+                while True:
+                    ended = not piece or piece[-1] == "\n"
+                    tokens = values.split(",")
+                    carry = "" if ended else tokens.pop()  # a value the next piece completes
+                    m = n + len(tokens)
+                    try:
+                        if m > flat.size or ended and m < flat.size:
+                            raise ValueError("too many or too few values")
+                        flat[n:m] = list(map(float, tokens))
+                    except ValueError:
+                        raise AutodiffError("malformed values of parameter %r" % name) from None
+                    finite = finite and bool(np.isfinite(flat[n:m]).all())
+                    n = m
+                    if ended:
+                        break
+                    piece = f.readline(LOAD_PIECE)
+                    values = carry + piece.rstrip("\n")
+                if not finite:
                     raise AutodiffError("non-finite values in parameter %r" % name)
-                loaded[name] = arr
+                loaded[name] = flat.reshape(want)
         missing = sorted(set(self.params) - set(loaded))
         if missing:
             raise AutodiffError("checkpoint lacks parameter %r" % missing[0])

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -271,24 +272,153 @@ def _two_param_store():
     return store
 
 
+def _zeros_like(store):
+    target = ad.ParameterStore()
+    for name, p in store.params.items():
+        target.add(name, np.zeros_like(p.data))
+    return target
+
+
+def _reference_save(store, path):
+    """The whole-line writer the chunked one replaced: one string per value."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("%s %s\n" % (ad.CHECKPOINT_TAG, ""))
+        for name in sorted(store.params):
+            p = store.params[name]
+            shape = "x".join(str(s) for s in p.data.shape) or "scalar"
+            values = ",".join("%.17g" % v for v in p.data.ravel())
+            f.write("%s\t%s\t%s\n" % (name, shape, values))
+
+
+def _reference_load(store, path):
+    """The whole-line parser the streaming one replaced: one float per value."""
+    loaded = {}
+    with open(path, encoding="utf-8") as f:
+        ad.read_checkpoint_header(f)
+        for line in f:
+            name, _, rest = line.rstrip("\n").partition("\t")
+            if name not in store.params or name in loaded:
+                raise ad.AutodiffError("unexpected or repeated parameter %r in checkpoint" % name)
+            shape, _, values = rest.partition("\t")
+            want = store.params[name].data.shape
+            if shape != ("x".join(str(s) for s in want) or "scalar"):
+                raise ad.AutodiffError("parameter %r has shape %s in checkpoint, expected %r"
+                                       % (name, shape, want))
+            try:
+                arr = np.array([float(v) for v in values.split(",")]).reshape(want)
+            except ValueError:
+                raise ad.AutodiffError("malformed values of parameter %r" % name) from None
+            if not np.all(np.isfinite(arr)):
+                raise ad.AutodiffError("non-finite values in parameter %r" % name)
+            loaded[name] = arr
+    missing = sorted(set(store.params) - set(loaded))
+    if missing:
+        raise ad.AutodiffError("checkpoint lacks parameter %r" % missing[0])
+    for name, arr in loaded.items():
+        store.params[name].data = arr
+
+
+def _chunk_sizes(monkeypatch):
+    """The values saved per chunk, first at 4 values per chunk and 16 characters
+    per piece read, which put boundaries inside every line and value, then at
+    the real sizes."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ad, "SAVE_CHUNK", 4)
+        patch.setattr(ad, "LOAD_PIECE", 16)
+        yield ad.SAVE_CHUNK
+    yield ad.SAVE_CHUNK
+
+
+def test_checkpoint_bytes_and_values_match_the_whole_line_reference(tmp_path, monkeypatch):
+    for chunk in _chunk_sizes(monkeypatch):
+        store = ad.ParameterStore()
+        store.add("chunks", rand(2 * chunk + 3, seed=22))
+        store.add("scalar", np.array(-0.0))
+        store.add("special", np.array([-0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3,
+                                       1.7976931348623157e308, -1.7976931348623157e308]))
+        store.add("table", rand(3, chunk + 1, seed=23))
+        path, reference = tmp_path / "params.ckpt", tmp_path / "reference.ckpt"
+        store.save(path)
+        _reference_save(store, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        # a last line without its newline still loads
+        unterminated = tmp_path / "unterminated.ckpt"
+        unterminated.write_bytes(path.read_bytes()[:-1])
+        for load in (ad.ParameterStore.load, _reference_load):
+            for source in (path, unterminated):
+                target = _zeros_like(store)
+                load(target, source)
+                for name, p in store.params.items():
+                    got = target[name].data
+                    assert got.shape == p.data.shape and np.array_equal(got, p.data)
+                    assert np.array_equal(np.signbit(got), np.signbit(p.data))
+
+
+def _values_of_b(edit):
+    """An edit of the value fields of b's line, the last one."""
+    return lambda lines: lines[:2] + ["b\t7\t" + ",".join(edit(lines[2].split("\t")[2].split(",")))]
+
+
+MALFORMED_B = "malformed values of parameter 'b'"
+
+
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: lines[:2], "lacks parameter 'b'"),
     (lambda lines: lines + ["c\t2\t1,2"], "unexpected or repeated parameter 'c'"),
     (lambda lines: lines[:2] + ["b\t6\t1,2,3,4,5,6"], "parameter 'b' has shape 6"),
     (lambda lines: lines[:2] + ["b\t7\t" + ",".join(["nan"] * 7)], "non-finite .* 'b'"),
-], ids=["truncated", "extra-name", "wrong-shape", "nan"])
-def test_checkpoint_load_is_strict(tmp_path, edit, message):
+    (_values_of_b(lambda v: v[:6] + ["1e999"]), "non-finite .* 'b'"),
+    (_values_of_b(lambda v: v[:5] + ["abc"] + v[6:]), MALFORMED_B),
+    (_values_of_b(lambda v: v[:6] + ["abc"]), MALFORMED_B),
+    (_values_of_b(lambda v: v[:5] + [""] + v[6:]), MALFORMED_B),
+    (_values_of_b(lambda v: v + [""]), MALFORMED_B),
+    (_values_of_b(lambda v: v[:6]), MALFORMED_B),
+    (_values_of_b(lambda v: v + v[:1]), MALFORMED_B),
+    (_values_of_b(lambda v: ["nan"] + v[1:6] + ["abc"]), MALFORMED_B),
+    (lambda lines: lines[:2] + ["b\t7"], MALFORMED_B),
+    (lambda lines: lines[:2] + ["b"], "parameter 'b' has shape  in"),
+    (lambda lines: lines + ["x" * (ad.LOAD_PIECE + 1)], "unexpected or repeated parameter 'xxx"),
+    (lambda lines: lines[:2] + ["b" * (ad.LOAD_PIECE + 1) + "\t7\t1"],
+     "unexpected or repeated parameter 'bbb"),
+], ids=["truncated", "extra-name", "wrong-shape", "nan", "inf-last", "abc", "abc-last",
+        "empty-field", "trailing-comma", "one-too-few", "one-too-many", "nan-then-abc",
+        "no-values", "no-tab-name", "no-tab", "long-name"])
+def test_checkpoint_load_is_strict(tmp_path, monkeypatch, edit, message):
+    for _ in _chunk_sizes(monkeypatch):
+        path = tmp_path / "params.ckpt"
+        _two_param_store().save(path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        target = _zeros_like(_two_param_store())
+        with pytest.raises(ad.AutodiffError, match=message) as got:
+            target.load(path)
+        # the whole-line parser refuses the same file with the same message
+        with pytest.raises(ad.AutodiffError) as want:
+            _reference_load(_zeros_like(target), path)
+        assert str(got.value) == str(want.value)
+        # nothing was half loaded
+        assert not target["a"].data.any() and not target["b"].data.any()
+
+
+def test_checkpoint_memory_is_bounded(tmp_path):
+    """Saving holds one chunk of values at a time, loading one piece plus the
+    table it fills. The whole-line code peaked at 5.9 MB saving this table and
+    10.4 MB loading it: one string and one float per value."""
+    store = ad.ParameterStore()
+    table = store.add("table", rand(2000, 32, seed=24)).data
     path = tmp_path / "params.ckpt"
-    _two_param_store().save(path)
-    lines = path.read_text().splitlines()
-    path.write_text("\n".join(edit(lines)) + "\n")
-    target = ad.ParameterStore()
-    target.add("a", np.zeros((3, 4)))
-    target.add("b", np.zeros(7))
-    with pytest.raises(ad.AutodiffError, match=message):
-        target.load(path)
-    # nothing was half loaded
-    assert not target["a"].data.any() and not target["b"].data.any()
+    tracemalloc.start()
+    try:
+        store.save(path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        store.load(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert save_peak <= 2 ** 20
+    assert load_peak <= table.nbytes + 2 ** 20
+    assert np.array_equal(store["table"].data, table)
 
 
 def test_tape_freed_by_reference_counting():

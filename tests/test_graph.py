@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from privkg.benchmark import sample_private_edges, split_edges
 from privkg.graph import (ATTR, REL, EdgeSet, GraphError, KnowledgeGraph, Relation, Triple,
@@ -215,19 +215,24 @@ def test_index_round_trip():
 
 @st.composite
 def graphs_with_private(draw):
+    """A graph with at least one private attribute edge, so that its public
+    view differs from it; the property's explicit examples hold none."""
     n_vertices = draw(st.integers(1, 8))
-    kinds = draw(st.lists(st.sampled_from([REL, ATTR]), min_size=1, max_size=4))
-    triples = draw(st.frozensets(st.builds(Triple, st.integers(0, n_vertices - 1),
-                                           st.integers(0, len(kinds) - 1),
-                                           st.integers(0, n_vertices - 1)), max_size=30))
+    kinds = draw(st.permutations([ATTR] + draw(st.lists(st.sampled_from([REL, ATTR]), max_size=3))))
+    vertex = st.integers(0, n_vertices - 1)
+    triples = draw(st.frozensets(st.builds(Triple, vertex, st.integers(0, len(kinds) - 1), vertex),
+                                 max_size=30))
+    triples |= {Triple(draw(vertex), kinds.index(ATTR), draw(vertex))}
     g = KnowledgeGraph(["v%d" % i for i in range(n_vertices)],
                        [Relation("r%d" % i, kind) for i, kind in enumerate(kinds)], triples)
-    attrs = sorted(g.attribute_triples())
-    return g.mark_private(draw(st.sets(st.sampled_from(attrs))) if attrs else ())
+    return g.mark_private(draw(st.sets(st.sampled_from(sorted(g.attribute_triples())), min_size=1)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(graphs_with_private(), st.booleans())
+@example(KnowledgeGraph(["v0", "v1"], [Relation("r0", REL), Relation("r1", ATTR)],
+                        [Triple(0, 0, 1), Triple(1, 1, 0)]), False)
+@example(KnowledgeGraph(["v0"], [Relation("r0", REL)], []), True)
 def test_neighbors_match_linear_scan_property(g, public_first):
     pairs = [(g, g.triples), (g.public_view(), g.triples - g.private)]
     for view, visible in pairs[::-1] if public_first else pairs:
