@@ -58,12 +58,22 @@ times the 18 steps of one epoch: ``total_loss``, ``zero_grad``, ``backward``,
 the optimizer step and ``post_step``. The file records the step wall time
 (median and quartiles over every timed step of every child), the tape nodes
 reachable from one step's loss and the ``scores`` calls per step (one per
-scoring node).
+scoring node). After the timed epoch the child replays each step's loss,
+untimed, with every public ``autodiff`` op of ``OPS`` wrapped from the outside
+(as ``perfbench/spans.py`` wraps its hooks), and records how many of the
+loss's tape nodes each op built (``tape_nodes_by_op``; a node goes to the
+innermost op that returned it, and a call that returns a leaf or one of its
+inputs, like a one-part ``concat``, builds none) and how many are leaves
+(``tape_leaves_per_step``). A replay whose op counts plus leaves differ from
+the timed step's node count stops the child. Each is a median over steps.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
+import functools
 import gc
 import json
 import math
@@ -150,16 +160,57 @@ def graph_summary(runs: list) -> dict:
 
 KINDS = ("gqe", "q2b", "q2p")
 WARMUP = 2
+# the public ops of ``privkg.autodiff`` whose tape nodes are counted; one that a
+# checkout lacks is skipped, and one left out here fails the leaves check
+OPS = ("add", "subtract", "multiply", "matmul", "concat", "stack", "rows", "reshape",
+       "reduce_sum", "reduce_mean", "reduce_min", "reduce_max", "relu", "sigmoid", "tanh",
+       "distances", "box_distances", "softmax", "segment_log_softmax", "attention", "transpose")
 
 
-def _tape_nodes(loss) -> int:
-    seen, todo = {id(loss)}, [loss]
+def _tape(loss) -> list:
+    """Every node reachable from ``loss``, itself included."""
+    seen, todo = {id(loss): loss}, [loss]
     while todo:
         for p in todo.pop().parents:
             if id(p) not in seen:
-                seen.add(id(p))
+                seen[id(p)] = p
                 todo.append(p)
-    return len(seen)
+    return list(seen.values())
+
+
+@contextlib.contextmanager
+def _recording_ops(autodiff):
+    """Within it, the ``OPS`` of the module ``autodiff`` record each node they
+    build as node id -> (op, node), the op being the innermost that returned it;
+    a call that returns a leaf or a node already recorded records nothing."""
+    built = {}
+
+    def recorded(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if out.parents and id(out) not in built:
+                built[id(out)] = (name, out)
+            return out
+        return wrapper
+
+    originals = {name: getattr(autodiff, name) for name in OPS if hasattr(autodiff, name)}
+    for name, fn in originals.items():
+        setattr(autodiff, name, recorded(name, fn))
+    try:
+        yield built
+    finally:
+        for name, fn in originals.items():
+            setattr(autodiff, name, fn)
+
+
+def tape_nodes_by_op(autodiff, forward: Callable) -> tuple:
+    """The nodes of ``forward()``'s tape that each op of ``OPS`` built, as a
+    dict, and its leaves, the nodes without parents."""
+    with _recording_ops(autodiff) as built:
+        tape = _tape(forward())
+        by_op = collections.Counter(built[id(n)][0] for n in tape if id(n) in built)
+    return dict(by_op), sum(not n.parents for n in tape)
 
 
 def train_child(kind: str) -> dict:
@@ -191,7 +242,7 @@ def train_child(kind: str) -> dict:
     rng.shuffle(order)
     batches = [[(bq.query, bq.train_answers) for bq in order[s:s + cfg.batch_size]]
                for s in range(0, len(order), cfg.batch_size)]
-    step_s, nodes, calls = [], [], []
+    step_s, nodes, calls, replays = [], [], [], []
     for i, batch in enumerate(batches[:WARMUP] + batches):
         sample = rng.sample(private_pool, min(cfg.private_batch, len(private_pool)))
         score_calls[0] = 0
@@ -206,12 +257,25 @@ def train_child(kind: str) -> dict:
         if i >= WARMUP:
             step_s.append(elapsed)
             calls.append(score_calls[0])
-            nodes.append(_tape_nodes(loss))
+            nodes.append(len(_tape(loss)))
+            replays.append((batch, sample))
+    by_op, leaves = [], []
+    for (batch, sample), total in zip(replays, nodes):
+        counts, n_leaves = tape_nodes_by_op(autodiff, lambda: training.total_loss(
+            model, batch, sample, cfg.beta, cfg.privacy_direction, rng, cfg.candidate_sample)[0])
+        if sum(counts.values()) + n_leaves != total:
+            raise SystemExit("bench: %s step of %d tape nodes replays as %r plus %d leaves"
+                             % (kind, total, counts, n_leaves))
+        by_op.append(counts)
+        leaves.append(n_leaves)
     return {
         "vertices": g.num_vertices(),
         "edges": len(g.triples),
         "step_s": step_s,
         "tape_nodes_per_step": statistics.median(nodes),
+        "tape_nodes_by_op": {op: statistics.median(c.get(op, 0) for c in by_op)
+                             for op in sorted(set().union(*by_op))},
+        "tape_leaves_per_step": statistics.median(leaves),
         "score_calls_per_step": statistics.median(calls),
     }
 
@@ -223,6 +287,9 @@ def train_summary(runs: list) -> dict:
         "steps": len(steps),
         "step_ms": {"q1": 1e3 * q1, "median": 1e3 * median, "q3": 1e3 * q3},
         "tape_nodes_per_step": statistics.median(r["tape_nodes_per_step"] for r in runs),
+        "tape_nodes_by_op": {op: statistics.median(r["tape_nodes_by_op"].get(op, 0) for r in runs)
+                             for op in sorted(set().union(*(r["tape_nodes_by_op"] for r in runs)))},
+        "tape_leaves_per_step": statistics.median(r["tape_leaves_per_step"] for r in runs),
         "score_calls_per_step": statistics.median(r["score_calls_per_step"] for r in runs),
     }
 

@@ -3,12 +3,17 @@
 Every operation builds a fresh node; calling ``backward`` on a scalar loss
 walks the recorded graph once. No graph reuse across steps.
 
+An op gives ``_node`` its forward value and one vector-Jacobian product (VJP)
+per parent: the gradient that parent receives, given the output's gradient.
+``backward`` runs a VJP only for a parent that requires a gradient, and
+``_accumulate`` stores a copy of a tensor's first gradient. The fused ops
+``rows``, ``distances`` and ``box_distances`` write one backward function
+each, for the reason stated there. A ``concat`` of one part is that part.
+
 Encoders score against the whole entity table through two fused ops, each one
 tape node that keeps no (B, n, d) array: ``distances`` (Euclidean; GQE and
 Q2P) and ``box_distances`` (Query2Box's clipped L1; Q2B); a third,
 ``segment_log_softmax``, takes their scores to picked log-probabilities.
-Backward computes no gradient for an operand that does not require one, and
-stores a copy of a tensor's first gradient.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 class Tensor:
-    """Node on the tape: a float64 ndarray plus backward closure."""
+    """Node on the tape: a float64 ndarray plus its backward, a tuple of one VJP
+    per parent (``_node``) or one function of the output's gradient (a fused op)."""
 
     __slots__ = ("data", "grad", "parents", "_backward", "requires_grad", "__weakref__")
 
@@ -40,7 +46,9 @@ class Tensor:
         self.grad = None
         self.parents = parents
         self._backward = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        for p in parents:  # a loop: any() over a generator costs more, once per node
+            requires_grad = requires_grad or p.requires_grad
+        self.requires_grad = requires_grad
 
     @property
     def shape(self):
@@ -69,7 +77,12 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is None or not node.requires_grad:
                 continue
-            node._backward(node.grad)
+            if callable(node._backward):  # a fused op's one backward
+                node._backward(node.grad)
+            else:  # one VJP per parent, in parent order
+                for parent, vjp in zip(node.parents, node._backward):
+                    if parent.requires_grad:
+                        parent._accumulate(vjp(node.grad))
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if not self.requires_grad:
@@ -104,21 +117,23 @@ def _both(a, b):
     return tensor(a), tensor(b)
 
 
+def _node(data, parents: tuple, *vjps) -> Tensor:
+    """The tape node of value ``data`` over ``parents``: ``backward`` hands parent
+    k the gradient ``vjps[k](g)``, given the gradient ``g`` of the output, if
+    parent k requires one. The node keeps the VJPs themselves: a closure over
+    them would add four objects per node for the garbage collector to track."""
+    out = Tensor(data, parents)
+    out._backward = vjps
+    return out
+
+
 # -- arithmetic -----------------------------------------------------------
 
 
 def add(a, b) -> Tensor:
     a, b = _both(a, b)
-    out = Tensor(a.data + b.data, (a, b))
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-
-    out._backward = back
-    return out
+    return _node(a.data + b.data, (a, b),
+                 lambda g: _unbroadcast(g, a.shape), lambda g: _unbroadcast(g, b.shape))
 
 
 def subtract(a, b) -> Tensor:
@@ -127,16 +142,8 @@ def subtract(a, b) -> Tensor:
 
 def multiply(a, b) -> Tensor:
     a, b = _both(a, b)
-    out = Tensor(a.data * b.data, (a, b))
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    out._backward = back
-    return out
+    return _node(a.data * b.data, (a, b), lambda g: _unbroadcast(g * b.data, a.shape),
+                 lambda g: _unbroadcast(g * a.data, b.shape))
 
 
 def matmul(a, b) -> Tensor:
@@ -144,45 +151,28 @@ def matmul(a, b) -> Tensor:
     a, b = _both(a, b)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise AutodiffError("matmul operands need at least 2 axes")
-    out = Tensor(a.data @ b.data, (a, b))
-
-    def back(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    out._backward = back
-    return out
+    return _node(a.data @ b.data, (a, b),
+                 lambda g: _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape),
+                 lambda g: _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
 
 def concat(parts, axis=0) -> Tensor:
+    """Parts joined along ``axis``; one part is that part, with no copy and no node."""
     parts = [tensor(p) for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), tuple(parts))
-    sizes = [p.data.shape[axis] for p in parts]
-
-    def back(g):
-        offset = 0
-        for p, size in zip(parts, sizes):
-            index = [slice(None)] * g.ndim
-            index[axis] = slice(offset, offset + size)
-            p._accumulate(g[tuple(index)])
-            offset += size
-
-    out._backward = back
-    return out
+    if len(parts) == 1:
+        return parts[0]
+    data = np.concatenate([p.data for p in parts], axis=axis)
+    lead, stop, index = (slice(None),) * (axis % data.ndim), 0, []
+    for p in parts:
+        index.append(lead + (slice(stop, stop + p.shape[axis]),))
+        stop += p.shape[axis]
+    return _node(data, tuple(parts), *(lambda g, i=i: g[i] for i in index))
 
 
 def stack(parts, axis=0) -> Tensor:
     parts = [tensor(p) for p in parts]
-    out = Tensor(np.stack([p.data for p in parts], axis=axis), tuple(parts))
-
-    def back(g):
-        for i, p in enumerate(parts):
-            p._accumulate(np.take(g, i, axis=axis))
-
-    out._backward = back
-    return out
+    return _node(np.stack([p.data for p in parts], axis=axis), tuple(parts),
+                 *(lambda g, i=i: np.take(g, i, axis=axis) for i in range(len(parts))))
 
 
 def rows(table, index) -> Tensor:
@@ -195,6 +185,7 @@ def rows(table, index) -> Tensor:
                             % (index[(index < 0) | (index >= n)][0], n))
     out = Tensor(table.data[index], (table,))
 
+    # one backward, not a VJP: it adds in place, where a VJP would build a table per gather
     def back(g):
         if table.requires_grad:
             if table.grad is None:
@@ -207,13 +198,7 @@ def rows(table, index) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = tensor(a)
-    out = Tensor(a.data.reshape(shape), (a,))
-
-    def back(g):
-        a._accumulate(g.reshape(a.shape))
-
-    out._backward = back
-    return out
+    return _node(a.data.reshape(shape), (a,), lambda g: g.reshape(a.shape))
 
 
 # -- reductions -----------------------------------------------------------
@@ -221,15 +206,8 @@ def reshape(a, shape) -> Tensor:
 
 def reduce_sum(a, axis=None) -> Tensor:
     a = tensor(a)
-    out = Tensor(a.data.sum(axis=axis), (a,))
-
-    def back(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape))
-
-    out._backward = back
-    return out
+    return _node(a.data.sum(axis=axis), (a,), lambda g: np.broadcast_to(
+        g if axis is None else np.expand_dims(g, axis), a.shape))
 
 
 def reduce_mean(a, axis=None) -> Tensor:
@@ -241,9 +219,8 @@ def reduce_mean(a, axis=None) -> Tensor:
 def _reduce_extreme(a, axis, redfn):
     a = tensor(a)
     out_data = redfn(a.data, axis=axis)
-    out = Tensor(out_data, (a,))
 
-    def back(g):
+    def vjp(g):
         # subgradient to the first entry equal to the extreme or NaN, argmin/argmax's
         # pick, found by counting misses (they loop column by column on a middle axis)
         hit = np.moveaxis((a.data == np.expand_dims(out_data, axis)) | np.isnan(a.data), axis, 0)
@@ -253,10 +230,9 @@ def _reduce_extreme(a, axis, redfn):
             idx += miss
         grad = np.zeros_like(a.data)
         np.put_along_axis(grad, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis)
-        a._accumulate(grad)
+        return grad
 
-    out._backward = back
-    return out
+    return _node(out_data, (a,), vjp)
 
 
 def reduce_min(a, axis=0) -> Tensor:
@@ -272,14 +248,7 @@ def reduce_max(a, axis=0) -> Tensor:
 
 def _unary(a, value, local_grad):
     """``local_grad()`` runs in backward only, so forward-only scoring skips it."""
-    a = tensor(a)
-    out = Tensor(value, (a,))
-
-    def back(g):
-        a._accumulate(g * local_grad())
-
-    out._backward = back
-    return out
+    return _node(value, (tensor(a),), lambda g: g * local_grad())
 
 
 def relu(a) -> Tensor:
@@ -333,6 +302,7 @@ def distances(rows, table) -> Tensor:
     dist = np.sqrt(np.maximum(sq, 0.0, out=sq), out=sq)
     out = Tensor(dist, (rows, table))
 
+    # one backward, not VJPs: both gradients read one weight block ``w``, built once
     def back(g):
         with np.errstate(divide="ignore", invalid="ignore"):
             w = g / dist
@@ -380,6 +350,7 @@ def box_distances(center, offset, table, alpha) -> Tensor:
         dist[b] = alpha * inner + (1.0 - alpha) * (x @ ones)
     out = Tensor(dist, (center, offset, table))
 
+    # one backward, not VJPs: one per-row loop, most of a Q2B step, gives all three gradients
     def back(g):
         grad_c, grad_o = np.empty_like(c), np.empty_like(o)
         grad_e = np.zeros_like(e) if table.requires_grad else None
@@ -413,14 +384,7 @@ def softmax(a, axis=-1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, (a,))
-
-    def back(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        a._accumulate(y * (g - dot))
-
-    out._backward = back
-    return out
+    return _node(y, (a,), lambda g: y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
 
 def segment_log_softmax(a, index, counts, owner, picks, mask=None) -> Tensor:
@@ -451,9 +415,8 @@ def segment_log_softmax(a, index, counts, owner, picks, mask=None) -> Tensor:
     shifted = s - s.max(axis=1, keepdims=True)
     y = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     flat = owner * n + picks
-    out = Tensor(y.reshape(-1)[flat], (a,))
 
-    def back(g):
+    def vjp(g):
         dense = np.zeros_like(y)
         np.add.at(dense.reshape(-1), flat, g)
         e = np.exp(y)
@@ -463,10 +426,9 @@ def segment_log_softmax(a, index, counts, owner, picks, mask=None) -> Tensor:
         grad[first] = dense
         grad[first[multi]] = 0.0
         grad[source, cols] = dense[multi]
-        a._accumulate(grad)
+        return grad
 
-    out._backward = back
-    return out
+    return _node(y.reshape(-1)[flat], (a,), vjp)
 
 
 def attention(q, k, v) -> Tensor:
@@ -479,13 +441,7 @@ def attention(q, k, v) -> Tensor:
 
 def transpose(a) -> Tensor:
     a = tensor(a)
-    out = Tensor(np.swapaxes(a.data, -1, -2), (a,))
-
-    def back(g):
-        a._accumulate(np.swapaxes(g, -1, -2))
-
-    out._backward = back
-    return out
+    return _node(np.swapaxes(a.data, -1, -2), (a,), lambda g: np.swapaxes(g, -1, -2))
 
 
 # -- parameters and optimization ------------------------------------------
@@ -564,7 +520,8 @@ class ParameterStore:
                 flat, n, finite = np.empty(self.params[name].data.size), 0, True
                 while True:
                     ended = not piece or piece[-1] == "\n"
-                    tokens = values.split(",")
+                    # a field that is empty when the line ends holds no values
+                    tokens = [] if ended and not n and not values else values.split(",")
                     carry = "" if ended else tokens.pop()  # a value the next piece completes
                     m = n + len(tokens)
                     try:

@@ -169,10 +169,8 @@ class Encoder:
             order, embs = widths.setdefault(tuple(t.shape[1:] for t in emb), ([], []))
             order.extend(idx)
             embs.append(emb)
-        parts = [self.scores(embs[0] if len(embs) == 1 else
-                             type(embs[0])(*(ad.concat(f, axis=0) for f in zip(*embs))))
-                 for _, embs in widths.values()]
-        scores = ad.concat(parts, axis=0) if len(parts) > 1 else parts[0]
+        scores = ad.concat([self.scores(type(embs[0])(*(ad.concat(f, axis=0) for f in zip(*embs))))
+                            for _, embs in widths.values()], axis=0)
         # score row of each disjunct, in query order
         index = np.argsort(np.concatenate([order for order, _ in widths.values()]))
         mask = None

@@ -354,6 +354,28 @@ def test_checkpoint_bytes_and_values_match_the_whole_line_reference(tmp_path, mo
                     assert np.array_equal(np.signbit(got), np.signbit(p.data))
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (4, 0), (0,)])
+def test_checkpoint_of_an_empty_parameter_roundtrips(tmp_path, monkeypatch, shape):
+    # its line holds an empty value field: no values, not one malformed one
+    for _ in _chunk_sizes(monkeypatch):
+        store = _two_param_store()
+        store.add("ab", np.zeros(shape))
+        store.add("c", np.zeros(shape))
+        path, reference = tmp_path / "params.ckpt", tmp_path / "reference.ckpt"
+        store.save(path)
+        _reference_save(store, reference)
+        assert path.read_bytes() == reference.read_bytes()
+        unterminated = tmp_path / "unterminated.ckpt"
+        unterminated.write_bytes(path.read_bytes()[:-1])
+        for source in (path, unterminated):
+            target = _zeros_like(store)
+            target["a"].data[:] = target["b"].data[:] = 1.0
+            target.load(source)
+            for name, p in store.params.items():
+                assert target[name].data.shape == p.data.shape
+                assert np.array_equal(target[name].data, p.data)
+
+
 def _values_of_b(edit):
     """An edit of the value fields of b's line, the last one."""
     return lambda lines: lines[:2] + ["b\t7\t" + ",".join(edit(lines[2].split("\t")[2].split(",")))]
@@ -376,13 +398,14 @@ MALFORMED_B = "malformed values of parameter 'b'"
     (_values_of_b(lambda v: v + v[:1]), MALFORMED_B),
     (_values_of_b(lambda v: ["nan"] + v[1:6] + ["abc"]), MALFORMED_B),
     (lambda lines: lines[:2] + ["b\t7"], MALFORMED_B),
+    (lambda lines: lines[:2] + ["b\t7\t"], MALFORMED_B),
     (lambda lines: lines[:2] + ["b"], "parameter 'b' has shape  in"),
     (lambda lines: lines + ["x" * (ad.LOAD_PIECE + 1)], "unexpected or repeated parameter 'xxx"),
     (lambda lines: lines[:2] + ["b" * (ad.LOAD_PIECE + 1) + "\t7\t1"],
      "unexpected or repeated parameter 'bbb"),
 ], ids=["truncated", "extra-name", "wrong-shape", "nan", "inf-last", "abc", "abc-last",
         "empty-field", "trailing-comma", "one-too-few", "one-too-many", "nan-then-abc",
-        "no-values", "no-tab-name", "no-tab", "long-name"])
+        "no-values", "empty-values", "no-tab-name", "no-tab", "long-name"])
 def test_checkpoint_load_is_strict(tmp_path, monkeypatch, edit, message):
     for _ in _chunk_sizes(monkeypatch):
         path = tmp_path / "params.ckpt"
@@ -450,22 +473,48 @@ def test_node_on_two_paths_gets_both_gradients():
     assert np.max(np.abs(x.grad - (2 + 24 * x.data ** 2))) < 1e-12
 
 
+# every op of more than one operand that ``_node`` builds, as a function of two
+MULTI_OPERAND_OPS = {
+    "add": ad.add, "subtract": ad.subtract, "multiply": ad.multiply, "matmul": ad.matmul,
+    "concat": lambda a, b: ad.concat([a, b, a], axis=-1),
+    "stack": lambda a, b: ad.stack([b, a, b], axis=1),
+}
+
+
 def test_constant_operand_gets_no_gradient(monkeypatch):
-    # add, subtract, multiply and matmul compute no gradient for a constant:
-    # it is never even handed one to discard
-    handed = []
+    # a constant is never even handed a gradient to discard, in either operand
+    # place, and its variable partner gets the gradient it gets beside a variable;
+    # with gc off, the op's output is freed by reference counts after backward
+    handed = []  # whether each tensor handed a gradient requires one; no reference kept
     accumulate = ad.Tensor._accumulate
-    monkeypatch.setattr(ad.Tensor, "_accumulate",
-                        lambda self, grad: handed.append(self) or accumulate(self, grad))
-    x = ad.Tensor(rand(3, 4, seed=22), requires_grad=True)
-    consts = [ad.tensor(rand(3, 4, seed=23)), ad.tensor(rand(4, 2, seed=24))]
-    out = ad.matmul(ad.multiply(ad.subtract(ad.add(x, consts[0]), consts[0]), consts[0]),
-                    consts[1])
-    ad.reduce_sum(-out).backward()
-    assert all(c.grad is None for c in consts)
-    assert not any(t is c for t in handed for c in consts) and any(t is x for t in handed)
-    want = -np.ones((3, 2)) @ consts[1].data.T * consts[0].data
-    assert np.max(np.abs(x.grad - want)) < 1e-12
+    monkeypatch.setattr(ad.Tensor, "_accumulate", lambda self, grad:
+                        handed.append(self.requires_grad) or accumulate(self, grad))
+    weights = rand(4, 12, seed=24)
+
+    def backward(name, x, other, x_first):
+        out = MULTI_OPERAND_OPS[name](*((x, other) if x_first else (other, x)))
+        probe = weakref.ref(out)
+        loss = ad.reduce_sum(ad.multiply(ad.reshape(out, (4, -1)), weights[:, :out.data.size // 4]))
+        del out
+        loss.backward()
+        assert probe() is not None, name
+        del loss
+        assert probe() is None, name
+
+    gc.disable()
+    try:
+        for name in MULTI_OPERAND_OPS:
+            for x_first in (True, False):
+                x = ad.Tensor(rand(4, 4, seed=22), requires_grad=True)
+                const = ad.tensor(rand(4, 4, seed=23))
+                handed.clear()
+                backward(name, x, const, x_first)
+                assert const.grad is None and handed and all(handed), name
+                want = ad.Tensor(x.data, requires_grad=True)
+                backward(name, want, ad.Tensor(const.data, requires_grad=True), x_first)
+                assert np.array_equal(x.grad, want.grad), name
+    finally:
+        gc.enable()
 
 
 def test_tensor_read_twice_gets_summed_gradient_that_aliases_no_upstream():

@@ -1,12 +1,16 @@
 """``scripts/bench.py``'s runner: the order of the children, the ``--src``
 flag, the paired verdict and the merge into ``BENCH_<topic>.json``. The children are faked,
-except for one that fails at once."""
+except for one that fails at once; the train child's count of tape nodes by op runs on a
+small expression."""
 
 import importlib.util
 import json
 import pathlib
 
+import numpy as np
 import pytest
+
+from privkg import autodiff as ad
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
@@ -16,11 +20,14 @@ _spec.loader.exec_module(bench)
 ENTRY_KEYS = {
     "graph": {"vertices", "edges", "median_s", "median_total_s", "median_minflt", "gc_collections",
               "peak_rss_mb", "malloc_pinned", "runs", *bench.ENV_KEYS},
-    "train": {"vertices", "edges", "steps", "step_ms", "tape_nodes_per_step",
-              "score_calls_per_step", "peak_rss_mb", "malloc_pinned", "runs", *bench.ENV_KEYS},
+    "train": {"vertices", "edges", "steps", "step_ms", "tape_nodes_per_step", "tape_nodes_by_op",
+              "tape_leaves_per_step", "score_calls_per_step", "peak_rss_mb", "malloc_pinned",
+              "runs", *bench.ENV_KEYS},
 }
 ENV = {"numpy_version": "2.4.6", "blas": {"name": "scipy-openblas"}, "simd_found": ["X86_V3"],
        "openblas_coretype": None}
+TAPE = {"tape_nodes_per_step": 9, "tape_nodes_by_op": {"add": 4, "rows": 2},
+        "tape_leaves_per_step": 3}
 
 
 @pytest.fixture
@@ -34,8 +41,7 @@ def calls(tmp_path, monkeypatch):
         return {"vertices": 3, "edges": 5, "peak_rss_mb": 1.0 + len(seen), "malloc_pinned": True,
                 "seconds": {s: 0.1 for s in bench.STAGES}, "minflt": {s: 7 for s in bench.STAGES},
                 "gc_collections": len(seen),
-                "step_s": [0.001, 0.002 * len(seen)], "tape_nodes_per_step": 9,
-                "score_calls_per_step": 1, **ENV}
+                "step_s": [0.001, 0.002 * len(seen)], "score_calls_per_step": 1, **TAPE, **ENV}
 
     monkeypatch.setattr(bench, "ROOT", str(tmp_path))
     monkeypatch.setattr(bench, "run", run)
@@ -66,6 +72,8 @@ def test_merge_replaces_only_the_measured_labels(tmp_path, calls, topic):
             assert len(entry["runs"]) == bench.ROUNDS
             assert {key: entry[key] for key in bench.ENV_KEYS} == ENV
             assert not set(bench.ENV_KEYS) & set(entry["runs"][0])
+            if topic == "train":
+                assert {key: entry[key] for key in TAPE} == TAPE
             if topic == "graph":
                 assert entry["median_minflt"] == {s: 7 for s in bench.STAGES}
                 assert entry["median_s"] == {s: 0.1 for s in bench.STAGES}
@@ -80,8 +88,7 @@ def test_a_label_faster_in_every_round_wins_every_round(tmp_path, monkeypatch, t
         return {"vertices": 3, "edges": 5, "peak_rss_mb": 1.0, "malloc_pinned": True,
                 "seconds": {s: seconds for s in bench.STAGES},
                 "minflt": {s: 7 for s in bench.STAGES}, "gc_collections": 0,
-                "step_s": [seconds, 2 * seconds], "tape_nodes_per_step": 9,
-                "score_calls_per_step": 1, **ENV}
+                "step_s": [seconds, 2 * seconds], "score_calls_per_step": 1, **TAPE, **ENV}
 
     monkeypatch.setattr(bench, "ROOT", str(tmp_path))
     monkeypatch.setattr(bench, "run", run)
@@ -141,3 +148,15 @@ def test_failed_child_names_label_and_case_and_shows_its_stderr(tmp_path, monkey
     assert "RuntimeError: no import" in message
     assert "label 'bad', case 'gqe'" in message
     assert not (tmp_path / "BENCH_train.json").exists()
+
+
+def test_tape_nodes_go_to_the_innermost_op_that_built_them():
+    ops = {name: getattr(ad, name) for name in bench.OPS}
+    x = ad.Tensor(np.ones((2, 3)), requires_grad=True)
+    # subtract is add over multiply by the leaf -1; a one-part concat is its part
+    counts, leaves = bench.tape_nodes_by_op(
+        ad, lambda: ad.reduce_sum(ad.subtract(ad.concat([ad.rows(x, [1, 0])]), np.ones(3))))
+    assert counts == {"rows": 1, "multiply": 1, "add": 1, "reduce_sum": 1}
+    assert leaves == 3  # x, the ones and the -1
+    assert len(bench._tape(ad.reduce_sum(x))) == 2
+    assert all(getattr(ad, name) is op for name, op in ops.items())  # unwrapped after

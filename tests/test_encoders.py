@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import types
 import weakref
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from privkg import autodiff as ad
 from privkg.encoders import (ENCODERS, BoxEmbedding, EncoderError, ParticleEmbedding,
                              VectorEmbedding, load_encoder, make_encoder)
-from privkg.graph import GraphError
+from privkg.graph import GraphError, KnowledgeGraph
 from privkg.queries import Anchor, Intersection, Projection, QueryError, Union, parse_query
 from privkg.training import total_loss
 from . import _ops as ops
@@ -257,8 +258,19 @@ def test_scores_match_difference_form(kind, monkeypatch):
         assert np.max(np.abs(got[1][name] - w)) <= 1e-12 * largest, name
 
 
+def _held_arrays(value):
+    """The arrays ``value`` holds, alone or in a tuple or list, and those the
+    closure of every function there keeps, such as a node's VJPs, at any depth."""
+    for item in value if isinstance(value, (tuple, list)) else (value,):
+        if isinstance(item, np.ndarray):
+            yield item
+        elif isinstance(item, types.FunctionType):
+            for cell in item.__closure__ or ():
+                yield from _held_arrays(cell.cell_contents)
+
+
 def _tape_arrays(loss):
-    """Every array the tape holds: node values and the arrays backward closures keep."""
+    """Every array the tape holds: node values and the arrays their backwards keep."""
     seen, todo = set(), [loss]
     while todo:
         node = todo.pop()
@@ -267,12 +279,14 @@ def _tape_arrays(loss):
         seen.add(id(node))
         yield node.data
         todo.extend(node.parents)
-        closure = node._backward.__closure__ if node._backward else None
-        for cell in closure or ():
-            value = cell.cell_contents
-            for item in value if isinstance(value, (tuple, list)) else (value,):
-                if isinstance(item, np.ndarray):
-                    yield item
+        if node._backward is not None:
+            yield from _held_arrays(node._backward)
+
+
+def test_tape_walk_reads_the_arrays_a_vjp_keeps():
+    # softmax's VJP keeps its output: seen as the node's value and in that VJP
+    out = ad.softmax(ad.Tensor(np.ones((2, 3)), requires_grad=True))
+    assert sum(a is out.data for a in _tape_arrays(out)) == 2
 
 
 def test_gqe_loss_keeps_no_rows_by_vertices_by_dim_array():
@@ -587,6 +601,20 @@ def test_checkpoint_roundtrip(tmp_path, toy_graph):
         assert back.kind == kind
         for name, p in m.store.params.items():
             assert np.array_equal(p.data, back.store[name].data)
+
+
+def test_checkpoint_of_a_relation_free_graph_roundtrips(tmp_path):
+    # its relation tables have no rows, so their checkpoint lines hold no values
+    g = KnowledgeGraph(["a", "b"], [], [])
+    for kind in KINDS:
+        m = make_encoder(kind, g, dim=6, seed=8, n_particles=2)
+        assert any(p.data.size == 0 for p in m.store.params.values())
+        path = tmp_path / ("%s.ckpt" % kind)
+        m.save(path)
+        back = load_encoder(path, g)
+        for name, p in m.store.params.items():
+            got = back.store[name].data
+            assert got.shape == p.data.shape and np.array_equal(got, p.data)
 
 
 def test_checkpoint_header_keeps_only_what_load_reads(tmp_path, toy_graph):

@@ -4,7 +4,8 @@ it stores. Every public top-level function and class has a reader in the
 program (``src/privkg``, ``perfbench/`` or ``scripts/``) unless it is on an
 allowlist with a reason. Every closed set of choices is named once, in its
 owning module, and every check and CLI choice reads that name. The arity rule of
-an intersection or union is stated once, in ``queries.py``."""
+an intersection or union is stated once, in ``queries.py``. A tape node's backward
+is wired in ``autodiff._node`` and in the three fused ops that write their own."""
 
 import argparse
 import ast
@@ -137,6 +138,26 @@ def arity_checks(source: str) -> list[str]:
     return ["line %d: %s" % item for item in sorted(found)]
 
 
+def backward_wirings(source: str) -> list[str]:
+    """Assignments ``<expr>._backward = <value>``, other than of ``None``, each
+    named by the top-level function or class it sits in."""
+    found = []
+    for stmt in ast.parse(source).body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Assign)
+                    and not (isinstance(node.value, ast.Constant) and node.value.value is None)
+                    and any(isinstance(n, ast.Attribute) and n.attr == "_backward"
+                            and isinstance(n.ctx, ast.Store)
+                            for t in node.targets for n in ast.walk(t))):
+                found.append((node.lineno, getattr(stmt, "name", "<module>")))
+    return ["line %d: %s" % item for item in sorted(found)]
+
+
+# the functions of autodiff.py that wire a node's backward: ``_node``, for every
+# op given as VJPs, and the three fused ops that write one backward each
+TAPE_WIRING = {"_node", "rows", "distances", "box_distances"}
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -161,6 +182,13 @@ def test_no_closed_set_is_restated(path):
                          ids=lambda p: p.name)
 def test_the_arity_rule_has_one_home(path):
     assert arity_checks(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_tape_wiring_has_one_home():
+    wirings = {path.name: backward_wirings(path.read_text(encoding="utf-8"))
+               for path in sorted(SRC.glob("*.py"))}
+    assert {name: found for name, found in wirings.items() if found and name != "autodiff.py"} == {}
+    assert {w.rsplit(": ", 1)[1] for w in wirings["autodiff.py"]} == TAPE_WIRING
 
 
 def test_every_cli_choice_is_the_library_set():
@@ -261,6 +289,15 @@ def test_guard_flags_an_arity_check():
     assert arity_checks(source) == ["line 1: len(first.children) < 2",
                                     "line 3: 2 > len(q.children)",
                                     "line 7: len(a.children) == len(b.rest)"]
+
+
+def test_guard_flags_a_backward_wiring():
+    source = ("class T:\n    def __init__(self):\n        self._backward = None\n"
+              "def op(a):\n    out = T()\n\n    def back(g):\n        pass\n\n"
+              "    out._backward = back\n    return out\n"
+              "def other(a):\n    a._backward, b = f, 1\n    a.backward = f\n    c = a._backward\n"
+              "t = T()\nt._backward = print\n")
+    assert backward_wirings(source) == ["line 10: op", "line 13: other", "line 17: <module>"]
 
 
 def test_guard_flags_an_unread_public_name():
